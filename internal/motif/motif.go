@@ -4,12 +4,15 @@
 // probability distributions (MPDs) the MVG feature extractor consumes.
 //
 // It plays the role PGD (Ahmed et al., ICDM 2015) plays in the paper: exact
-// counts obtained from triangle/clique enumeration over the graph's
-// compressed-sparse-row forward ranges combined with combinatorial
-// identities, rather than explicit subgraph enumeration. The per-graph cost
-// is O(Σ_v d_v²) for the triangle/co-degree passes plus the 4-clique
-// enumeration, with small constants on the sparse graphs visibility
-// transforms produce because every scan walks contiguous sorted rows.
+// counts from a few direct enumerations combined with combinatorial
+// identities, rather than explicit subgraph enumeration. As in PGD,
+// triangles and 4-cliques are found through a marked neighbour table: the
+// forward neighbours of each vertex are marked with their arc positions, so
+// every candidate is a single array lookup instead of a sorted-list merge.
+// Non-induced 4-cycles are counted once each, at their highest-numbered
+// vertex, by the Chiba–Nishizeki wedge orientation walked in time order.
+// Vertex ids stay in time order throughout, which keeps the rows of
+// visibility graphs local in memory.
 package motif
 
 import (
@@ -138,28 +141,31 @@ func choose4(n int64) int64 {
 }
 
 // Counter computes motif counts with reusable scratch arrays (degree
-// sequence, per-arc triangle counts, triangle incidence sums and co-degree
-// buffers), so per-graph counting performs no allocations after warm-up.
-// The zero value is ready for use; a Counter must not be shared between
-// goroutines.
+// sequence, per-arc triangle counts, triangle incidence sums, a vertex
+// mark table and a common-neighbour list), so per-graph counting performs
+// no allocations after warm-up. The zero value is ready for use; a Counter
+// must not be shared between goroutines.
 type Counter struct {
 	deg        []int
 	vertTriSum []int64
 	arcTri     []int32
-	codeg      []int32
-	touched    []int32
+	// mark is the per-vertex table of both enumeration passes: arc
+	// marks in the triangle pass, co-degrees in the 4-cycle pass. It only
+	// grows, and every pass leaves it all zero.
+	mark   []int32
+	common []int32
 }
 
 // Count computes exact induced counts of all 11 motifs of size ≤ 4 of g.
 // It is the convenience form of Counter.Count with throwaway scratch.
 //
-// Strategy: a single forward-range triangle enumeration yields per-edge
-// triangle counts and direct 4-clique counts; a wedge pass yields co-degree
-// pair statistics (non-induced 4-cycles); degree aggregates give
-// non-induced stars, paths and paws. Induced counts then follow from the
-// standard inclusion–exclusion identities between non-induced and induced
-// subgraph counts, and the disconnected motifs from complement identities
-// against C(n,3)/C(n,4) totals.
+// Strategy: one marker-based triangle enumeration over the forward ranges
+// yields per-edge triangle counts and direct 4-clique counts; a wedge pass
+// oriented to each cycle's highest vertex yields the non-induced 4-cycles;
+// degree aggregates give non-induced stars, paths and paws. Induced counts
+// then follow from the standard inclusion–exclusion identities between
+// non-induced and induced subgraph counts, and the disconnected motifs
+// from complement identities against C(n,3)/C(n,4) totals.
 func Count(g *graph.Graph) Counts {
 	var ctr Counter
 	return ctr.Count(g)
@@ -188,45 +194,73 @@ func (ctr *Counter) Count(g *graph.Graph) Counts {
 		wedges += choose2(int64(d))
 	}
 
-	// Triangle pass over the CSR forward ranges: every triangle u<v<w is
-	// enumerated exactly once by merge-scanning the two sorted suffixes of
-	// rows u and v that lie beyond v. Each match w is found at its absolute
-	// positions in both rows, so the per-edge triangle counts tri_e
-	// accumulate into a flat arc-indexed array with no intersection-list
-	// materialization. 4-cliques are counted directly from each triangle: x
-	// completes {u,v,w,x} with x>w iff x appears in all three row suffixes
-	// beyond w, a 3-way merge over contiguous memory.
+	// Triangle pass over the CSR forward ranges, PGD-style. For each u, the
+	// forward neighbours x > u are marked with their arc position + 1. For
+	// each forward neighbour v, a scan of v's forward row up to u's largest
+	// forward neighbour finds every triangle u < v < w as a positive mark
+	// on w, so each triangle is enumerated once and its three arc
+	// positions are known without a search; per-edge triangle counts tri_e
+	// accumulate into a flat arc-indexed array. The tips w of (u, v) are
+	// collected in common and their marks negated while the list is live:
+	// a 4-clique u < v < w < x is then an x in w's forward row with a
+	// negative mark, counted from the sign bit without a branch.
 	offs, nbrs := g.CSR() // hoisted flat rows: no per-access method call
 	fwd := g.Forward()
 	ctr.arcTri = buf.GrowZero(ctr.arcTri, len(nbrs))
 	arcTri := ctr.arcTri // tri_e at the forward-arc position of each edge
+	if len(ctr.mark) < g.N() {
+		ctr.mark = make([]int32, g.N())
+	}
+	mark := ctr.mark
+	common := ctr.common
 	var k4 int64
 	for u := 0; u < g.N(); u++ {
-		end := int(offs[u+1])
-		for p := int(fwd[u]); p < end; p++ {
-			v := nbrs[p]
-			su := nbrs[p+1 : end]    // row-u entries > v
-			pv := int(fwd[v])        // row-v forward start
-			sv := nbrs[pv:offs[v+1]] // row-v entries > v
-			i, j := 0, 0
-			for i < len(su) && j < len(sv) {
-				switch a, b := su[i], sv[j]; {
-				case a < b:
-					i++
-				case a > b:
-					j++
-				default: // triangle (u, v, w) with w = a
-					w := a
-					arcTri[p]++
-					arcTri[p+1+i]++
-					arcTri[pv+j]++
-					k4 += int64(count3(su[i+1:], sv[j+1:], nbrs[fwd[w]:offs[w+1]]))
-					i++
-					j++
+		lo, end := fwd[u], offs[u+1]
+		if end-lo < 2 {
+			continue // a triangle needs two forward neighbours of u
+		}
+		fu := nbrs[lo:end]
+		for i, x := range fu {
+			mark[x] = lo + int32(i) + 1
+		}
+		maxU := fu[len(fu)-1]
+		// The largest forward neighbour has no partner above it in fu.
+		for i, v := range fu[:len(fu)-1] {
+			common = common[:0]
+			pv := fwd[v]
+			for j, w := range nbrs[pv:offs[v+1]] {
+				if w > maxU {
+					break
+				}
+				if m := mark[w]; m > 0 { // triangle (u, v, w)
+					arcTri[m-1]++
+					arcTri[pv+int32(j)]++
+					mark[w] = -m
+					common = append(common, w)
 				}
 			}
+			if len(common) == 0 {
+				continue
+			}
+			arcTri[lo+int32(i)] += int32(len(common))
+			maxT := common[len(common)-1]
+			for _, w := range common[:len(common)-1] {
+				for _, x := range nbrs[fwd[w]:offs[w+1]] {
+					if x > maxT {
+						break
+					}
+					k4 += int64(uint32(mark[x]) >> 31)
+				}
+			}
+			for _, w := range common {
+				mark[w] = -mark[w]
+			}
+		}
+		for _, x := range fu {
+			mark[x] = 0
 		}
 	}
+	ctr.common = common
 
 	// Per-edge aggregation: Σ tri_e, Σ C(tri_e,2), per-vertex triangle
 	// incidence sums and non-induced P4s, all from the arc-indexed counts.
@@ -264,9 +298,33 @@ func (ctr *Counter) Count(g *graph.Graph) Counts {
 		clawNon += choose3(int64(d))
 	}
 
-	// Non-induced 4-cycles via co-degrees: each cycle has two diagonals.
-	c4Doubled := ctr.codegreePairSum(g)
-	c4Non := c4Doubled / 2
+	// Non-induced 4-cycles, each counted once at its highest vertex a
+	// (Chiba–Nishizeki): the cycles topped by a with opposite vertex c < a
+	// are the pairs of a's lower neighbours adjacent to c, C(k,2) for
+	// k = codeg[c]. The wedges a–v–c with v < a and c < a are a prefix of
+	// row v, and adding each prior count before the increment sums the
+	// C(k,2) with no per-step branch. Only codeg[lo:a] is ever touched.
+	codeg := mark // all zero again after the triangle pass
+	var c4Non int64
+	for a := int32(1); a < int32(g.N()); a++ {
+		back := nbrs[offs[a]:fwd[a]]
+		if len(back) < 2 {
+			continue // a cycle needs two lower neighbours of a
+		}
+		lo := a
+		for _, v := range back {
+			row := nbrs[offs[v]:offs[v+1]]
+			lo = min(lo, row[0])
+			for _, c := range row {
+				if c >= a {
+					break
+				}
+				c4Non += int64(codeg[c])
+				codeg[c]++
+			}
+		}
+		clear(codeg[lo:a])
+	}
 
 	// ---- Size 3 induced ----
 	c.M31 = tri
@@ -303,70 +361,4 @@ func (ctr *Counter) Count(g *graph.Graph) Counts {
 		c.M47 - c.M48 - c.M49 - c.M410
 
 	return c
-}
-
-// count3 returns the size of the 3-way intersection of sorted int32 slices
-// by advancing the pointer(s) at the current minimum.
-func count3(a, b, c []int32) int {
-	i, j, k, cnt := 0, 0, 0, 0
-	for i < len(a) && j < len(b) && k < len(c) {
-		x, y, z := a[i], b[j], c[k]
-		if x == y && y == z {
-			cnt++
-			i++
-			j++
-			k++
-			continue
-		}
-		m := min(x, min(y, z))
-		if x == m {
-			i++
-		}
-		if y == m {
-			j++
-		}
-		if z == m {
-			k++
-		}
-	}
-	return cnt
-}
-
-// codegreePairSum returns Σ over unordered vertex pairs {a,c} of
-// C(codeg(a,c), 2), where codeg is the number of common neighbours. Each
-// non-induced 4-cycle is counted exactly twice (once per diagonal). The
-// computation iterates wedges per low endpoint with an O(n) scratch array.
-// Because CSR rows are sorted ascending, the wedge tips c > a form a suffix
-// of each row, so the inner scan walks backwards and stops at the first
-// tip ≤ a instead of filtering the whole row.
-func (ctr *Counter) codegreePairSum(g *graph.Graph) int64 {
-	n := g.N()
-	offs, nbrs := g.CSR()
-	ctr.codeg = buf.GrowZero(ctr.codeg, n)
-	codeg := ctr.codeg
-	touched := ctr.touched[:0]
-	defer func() { ctr.touched = touched }()
-	var sum int64
-	for a := 0; a < n; a++ {
-		a32 := int32(a)
-		touched = touched[:0]
-		for _, vi := range nbrs[offs[a]:offs[a+1]] {
-			rv := nbrs[offs[vi]:offs[vi+1]]
-			for j := len(rv) - 1; j >= 0; j-- {
-				ci := rv[j]
-				if ci <= a32 {
-					break
-				}
-				if codeg[ci] == 0 {
-					touched = append(touched, ci)
-				}
-				codeg[ci]++
-			}
-		}
-		for _, ci := range touched {
-			sum += choose2(int64(codeg[ci]))
-			codeg[ci] = 0
-		}
-	}
-	return sum
 }
