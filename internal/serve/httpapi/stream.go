@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -58,6 +59,22 @@ const maxStreamLine = 4096
 // dialogues never wait it out.
 const streamReaderGrace = 50 * time.Millisecond
 
+// maxStreamDrain bounds how much unread request body a dialogue that ended
+// early (a fault, a bad sample, an eviction) reads and discards before its
+// handler returns. Reaching EOF inside the handler matters: with full
+// duplex enabled, net/http otherwise drains the body only after the
+// handler returns, arms its end-of-body background read there, and then
+// panics the connection goroutine ("invalid concurrent Body.Read call")
+// as it waits for the next request, which resets the connection under the
+// client's next request. The bound matches net/http's own post-handler
+// drain; streamReaderGrace bounds the time.
+const maxStreamDrain = 256 << 10
+
+// drainBody reads and discards what is left of body, up to maxStreamDrain.
+func drainBody(body io.Reader) {
+	_, _ = io.CopyN(io.Discard, body, maxStreamDrain)
+}
+
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	hop := 1
@@ -108,6 +125,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		defer close(readerDone)
 		defer close(io.lines)
+		// However the dialogue ends, consume the rest of the body before
+		// the join releases the handler (see maxStreamDrain). After a
+		// clean EOF this returns at once.
+		defer drainBody(r.Body)
 		sent := 0
 		emit := func(chunk core.Samples) bool {
 			select {
@@ -143,9 +164,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}()
 	defer func() {
 		close(stopReader)
-		// Fast path: the reader already hit EOF or notices stopReader at
-		// its next channel send (any buffered body data scans in
-		// microseconds). The connection stays pristine and reusable.
+		// Fast path: the reader already hit EOF, or notices stopReader at
+		// its next channel send and drains the rest of the body (data the
+		// client has already sent reads in microseconds). The connection
+		// stays pristine and reusable.
 		select {
 		case <-readerDone:
 			return

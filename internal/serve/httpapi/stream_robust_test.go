@@ -9,6 +9,7 @@ import (
 	"mvg/internal/serve/core"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"os"
 	"strings"
 	"testing"
@@ -346,5 +347,51 @@ func TestStreamTenantKey(t *testing.T) {
 		if got := streamTenant(r); got != tc.want {
 			t.Errorf("streamTenant(%q, remote %q) = %q, want %q", tc.url, tc.remote, got, tc.want)
 		}
+	}
+}
+
+// TestStreamEarlyExitKeepsConnection: a dialogue that ends while request
+// bytes are still unread — here a malformed first sample ahead of a long
+// tail, the same exit as a mid-dialogue fault — must leave its keep-alive
+// connection healthy for the client's next request. If the handler returns
+// with the body unread, net/http drains it only after the handler, arms
+// its background read at EOF, and then panics the connection goroutine
+// ("invalid concurrent Body.Read call") as it waits for the next request,
+// so that request is reset or must redial.
+func TestStreamEarlyExitKeepsConnection(t *testing.T) {
+	_, ts := newTestServer(t, core.Config{})
+	tr := &http.Transport{MaxConnsPerHost: 1}
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr}
+	post := func(body string) (status int, reused bool) {
+		t.Helper()
+		trace := &httptrace.ClientTrace{GotConn: func(info httptrace.GotConnInfo) { reused = info.Reused }}
+		req, err := http.NewRequestWithContext(httptrace.WithClientTrace(context.Background(), trace),
+			http.MethodPost, ts.URL+"/v1/models/demo/stream", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if _, err := io.ReadAll(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, reused
+	}
+
+	// The tail is well past the body reader's 4 KB line buffer.
+	tail := strings.Repeat("0.5\n", 4096)
+	if status, _ := post("not-a-number\n" + tail); status != http.StatusBadRequest {
+		t.Fatalf("malformed stream status = %d, want 400", status)
+	}
+	status, reused := post(streamBody(testInputs(1, 43)[0]))
+	if status != http.StatusOK {
+		t.Fatalf("follow-up stream status = %d, want 200", status)
+	}
+	if !reused {
+		t.Fatal("follow-up stream dialled a new connection: the early-exit dialogue broke its keep-alive connection")
 	}
 }
