@@ -61,9 +61,9 @@ func smoothWalk(n int, rng *rand.Rand) []float64 {
 }
 
 // goldenCountSeries returns the deterministic series of the corpus, keyed
-// by name and length. Each kind draws from its own seed, so the 512-point
-// series is a prefix-generated sibling of the 2048-point one and adding a
-// kind never perturbs the others.
+// by kind and length. Each kind draws from its own seed, so its 512-point
+// series is the first 512 points of its 2048-point one, and adding a kind
+// never perturbs the others.
 func goldenCountSeries() map[string][]float64 {
 	out := map[string][]float64{}
 	for _, n := range []int{512, 2048} {
