@@ -1,10 +1,10 @@
 package proxy
 
 import (
-	"fmt"
 	"io"
-	"sort"
-	"sync"
+	"strconv"
+
+	"mvg/internal/obs"
 )
 
 // Metrics is mvgproxy's own counter set, exposed on the proxy's
@@ -12,101 +12,52 @@ import (
 // replicas expose, so fleet-level retry and shed behaviour is observable
 // without scraping every backend.
 type Metrics struct {
-	mu        sync.Mutex
-	requests  map[int]uint64 // by client-visible status code
-	retries   uint64
-	shed      uint64
-	backendUp map[string]bool
+	reg       obs.Registry
+	requests  *obs.CounterVec
+	retries   *obs.Counter
+	shed      *obs.Counter
+	backendUp *obs.GaugeVec
 }
 
 func newMetrics() *Metrics {
-	return &Metrics{
-		requests:  make(map[int]uint64),
-		backendUp: make(map[string]bool),
-	}
+	m := &Metrics{}
+	r := &m.reg
+	m.requests = r.CounterVec("mvgproxy_requests_total", "Proxied requests by client-visible status code.", "code")
+	m.retries = r.Counter("mvgproxy_retries_total", "Idempotent requests retried on another replica after a dead or draining shard.")
+	m.shed = r.Counter("mvgproxy_shed_total", "Requests rejected because no healthy backend could serve them.")
+	m.backendUp = r.GaugeVec("mvgproxy_backend_up", "Last known health of each backend (1 ready, 0 down or draining).", "backend")
+	return m
 }
 
 // Request records one proxied request by the status code the client saw.
-func (m *Metrics) Request(code int) {
-	m.mu.Lock()
-	m.requests[code]++
-	m.mu.Unlock()
-}
+func (m *Metrics) Request(code int) { m.requests.With(strconv.Itoa(code)).Inc() }
 
 // Retry records one failover retry of an idempotent request.
-func (m *Metrics) Retry() {
-	m.mu.Lock()
-	m.retries++
-	m.mu.Unlock()
-}
+func (m *Metrics) Retry() { m.retries.Inc() }
 
 // RetriesTotal reports the failover retry count.
-func (m *Metrics) RetriesTotal() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.retries
-}
+func (m *Metrics) RetriesTotal() uint64 { return m.retries.Value() }
 
 // Shed records one request rejected because no healthy backend could
 // serve it.
-func (m *Metrics) Shed() {
-	m.mu.Lock()
-	m.shed++
-	m.mu.Unlock()
-}
+func (m *Metrics) Shed() { m.shed.Inc() }
 
 // ShedTotal reports the no-healthy-backend rejection count.
-func (m *Metrics) ShedTotal() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.shed
-}
+func (m *Metrics) ShedTotal() uint64 { return m.shed.Value() }
 
 // SetBackendUp records the health state of one backend.
 func (m *Metrics) SetBackendUp(name string, up bool) {
-	m.mu.Lock()
-	m.backendUp[name] = up
-	m.mu.Unlock()
+	var v int64
+	if up {
+		v = 1
+	}
+	m.backendUp.With(name).Set(v)
 }
 
 // WritePrometheus renders the proxy metrics in the Prometheus text
-// exposition format, families and labels in sorted order so the output
-// is deterministic.
+// exposition format.
 func (m *Metrics) WritePrometheus(w io.Writer) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	fmt.Fprintf(w, "# HELP mvgproxy_requests_total Proxied requests by client-visible status code.\n")
-	fmt.Fprintf(w, "# TYPE mvgproxy_requests_total counter\n")
-	codes := make([]int, 0, len(m.requests))
-	for c := range m.requests {
-		codes = append(codes, c)
-	}
-	sort.Ints(codes)
-	for _, c := range codes {
-		fmt.Fprintf(w, "mvgproxy_requests_total{code=\"%d\"} %d\n", c, m.requests[c])
-	}
-
-	fmt.Fprintf(w, "# HELP mvgproxy_retries_total Idempotent requests retried on another replica after a dead or draining shard.\n")
-	fmt.Fprintf(w, "# TYPE mvgproxy_retries_total counter\n")
-	fmt.Fprintf(w, "mvgproxy_retries_total %d\n", m.retries)
-
-	fmt.Fprintf(w, "# HELP mvgproxy_shed_total Requests rejected because no healthy backend could serve them.\n")
-	fmt.Fprintf(w, "# TYPE mvgproxy_shed_total counter\n")
-	fmt.Fprintf(w, "mvgproxy_shed_total %d\n", m.shed)
-
-	fmt.Fprintf(w, "# HELP mvgproxy_backend_up Last known health of each backend (1 ready, 0 down or draining).\n")
-	fmt.Fprintf(w, "# TYPE mvgproxy_backend_up gauge\n")
-	names := make([]string, 0, len(m.backendUp))
-	for n := range m.backendUp {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		v := 0
-		if m.backendUp[n] {
-			v = 1
-		}
-		fmt.Fprintf(w, "mvgproxy_backend_up{backend=%q} %d\n", n, v)
-	}
+	// A failed write means the scraper went away; there is no one left
+	// to report it to.
+	_ = m.reg.WritePrometheus(w)
 }

@@ -2,14 +2,12 @@ package core
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"sync"
 	"time"
 
 	"mvg"
 	"mvg/internal/faults"
-	"mvg/internal/serve/session"
 )
 
 // A stream dialogue is the transport-agnostic half of the /stream
@@ -78,21 +76,21 @@ type DialogueConfig struct {
 	Tenant string
 }
 
-// Dialogue is one live stream: a model stream, its session-registry slot,
-// and the alert/metrics accounting around them. It is not safe for
-// concurrent use — one goroutine pushes samples (RunDialogue).
+// Dialogue is one live stream: a model stream, its stream slot, and the
+// alert/metrics accounting around them. It is not safe for concurrent
+// use — one goroutine pushes samples (RunDialogue).
 type Dialogue struct {
 	engine   *Engine
 	name     string
+	tenant   string
 	stream   *mvg.Stream
-	sess     *session.Session
 	alerting bool
 	preds    int
 	closeFn  sync.Once
 }
 
 // OpenDialogue validates the stream parameters, arms any alert triggers,
-// and claims a session slot — in that order, so a malformed request costs
+// and claims a stream slot — in that order, so a malformed request costs
 // no quota. Failures are typed: unknown model → 404/NOT_FOUND, bad hop or
 // trigger spec → 400/INVALID_ARGUMENT, draining → 503/UNAVAILABLE, quota
 // → 429/RESOURCE_EXHAUSTED (counted with the predict sheds).
@@ -119,31 +117,19 @@ func (e *Engine) OpenDialogue(cfg DialogueConfig) (*Dialogue, error) {
 			e.metrics.AlertStreamStarted(tr.Name)
 		}
 	}
-	d := &Dialogue{engine: e, name: cfg.Model, stream: stream, alerting: alerting}
+	d := &Dialogue{engine: e, name: cfg.Model, tenant: cfg.Tenant, stream: stream, alerting: alerting}
 
-	// Claim the session slot last: this is where the global stream ceiling
-	// and the per-tenant quota are enforced, and what graceful drain
-	// broadcasts through.
-	sess, err := e.sessions.Open(cfg.Tenant)
-	if err != nil {
+	// Claim the slot last: this is where the global stream ceiling and the
+	// per-tenant quota are enforced.
+	if err := e.claimStream(cfg.Tenant); err != nil {
 		d.endAlertGauges()
-		if errors.Is(err, session.ErrDraining) {
-			return nil, Errorf(StatusUnavailable, "%v", err)
-		}
-		// Server limit or tenant quota: a deterministic load rejection,
-		// counted with the predict sheds.
-		e.metrics.Shed()
-		serr := Errorf(StatusShed, "%v: try again in %v", err, e.retryAfter)
-		serr.RetryAfter = e.retryAfter
-		return nil, serr
+		return nil, err
 	}
-	d.sess = sess
-	e.metrics.StreamStarted()
 	return d, nil
 }
 
 // Done is closed when the engine asks the dialogue to finish (drain).
-func (d *Dialogue) Done() <-chan struct{} { return d.sess.Done() }
+func (d *Dialogue) Done() <-chan struct{} { return d.engine.streamDrain }
 
 // Pushed reports the number of samples consumed so far.
 func (d *Dialogue) Pushed() int { return d.stream.Pushed() }
@@ -153,14 +139,11 @@ func (d *Dialogue) DoneEvent(draining bool) StreamDone {
 	return StreamDone{Done: true, Samples: d.stream.Pushed(), Predictions: d.preds, Draining: draining}
 }
 
-// Close releases the session slot and the metrics gauges. Idempotent;
+// Close releases the stream slot and the alert gauges. Idempotent;
 // RunDialogue calls it, and codecs may defer it as a safety net.
 func (d *Dialogue) Close() {
 	d.closeFn.Do(func() {
-		if d.sess != nil {
-			d.sess.Close()
-			d.engine.metrics.StreamEnded()
-		}
+		d.engine.releaseStream(d.tenant)
 		d.endAlertGauges()
 	})
 }

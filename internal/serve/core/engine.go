@@ -11,7 +11,6 @@ import (
 	"mvg"
 	"mvg/internal/faults"
 	"mvg/internal/ml"
-	"mvg/internal/serve/session"
 )
 
 // Config configures an Engine.
@@ -22,9 +21,6 @@ type Config struct {
 	// values select DefaultWindow / DefaultMaxBatch).
 	Window   time.Duration
 	MaxBatch int
-	// Metrics receives request and batch observations; nil allocates a
-	// fresh Metrics.
-	Metrics *Metrics
 	// Logger receives one line per failed request; nil disables logging.
 	Logger *log.Logger
 	// AlertSink receives the FIRING/RESOLVED events of every alerting
@@ -52,7 +48,7 @@ type Config struct {
 
 	// MaxStreams / MaxStreamsPerTenant bound concurrently open stream
 	// dialogues, globally and per tenant (TenantKey). Zero selects
-	// session.DefaultMaxStreams / DefaultMaxPerTenant; negative means
+	// DefaultMaxStreams / DefaultMaxStreamsPerTenant; negative means
 	// unlimited. Rejections are 429 + Retry-After.
 	MaxStreams          int
 	MaxStreamsPerTenant int
@@ -75,14 +71,16 @@ type Config struct {
 
 // Stream robustness defaults used when the Config fields are zero.
 const (
-	DefaultStreamIdleTimeout  = 5 * time.Minute
-	DefaultStreamWriteTimeout = 10 * time.Second
+	DefaultMaxStreams          = 1024
+	DefaultMaxStreamsPerTenant = 64
+	DefaultStreamIdleTimeout   = 5 * time.Minute
+	DefaultStreamWriteTimeout  = 10 * time.Second
 )
 
 // Engine is the transport-agnostic serving engine: it resolves models
 // from a registry, funnels single-series predictions through one request
 // coalescer per model, enforces admission control and stream quotas, and
-// owns the metrics sink. The HTTP and gRPC codecs are both thin shells
+// owns its metrics. The HTTP and gRPC codecs are both thin shells
 // over one shared Engine, so a prediction's bytes cannot depend on which
 // transport asked.
 type Engine struct {
@@ -94,9 +92,10 @@ type Engine struct {
 	alertSink mvg.AlertSink
 
 	limiter        *limiter
-	sessions       *session.Registry
 	requestTimeout time.Duration
 	retryAfter     time.Duration
+	maxStreams     int
+	maxPerTenant   int
 	streamIdle     time.Duration
 	streamWrite    time.Duration
 	faults         *faults.Injector
@@ -104,6 +103,12 @@ type Engine struct {
 	mu         sync.Mutex
 	coalescers map[string]*Coalescer
 	draining   bool
+	// Stream slots: open dialogues per tenant, and the drain broadcast
+	// every Dialogue.Done returns. The global count is
+	// metrics.activeStreams, changed only under mu.
+	tenantStreams  map[string]int
+	streamDrain    chan struct{}
+	streamsDrained bool
 }
 
 // NewEngine builds an Engine from cfg. The returned engine is live: its
@@ -112,11 +117,14 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Registry == nil {
 		return nil, errors.New("serve: Config.Registry is required")
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = NewMetrics()
-	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = DefaultRetryAfter
+	}
+	if cfg.MaxStreams == 0 {
+		cfg.MaxStreams = DefaultMaxStreams
+	}
+	if cfg.MaxStreamsPerTenant == 0 {
+		cfg.MaxStreamsPerTenant = DefaultMaxStreamsPerTenant
 	}
 	if cfg.StreamIdleTimeout == 0 {
 		cfg.StreamIdleTimeout = DefaultStreamIdleTimeout
@@ -126,23 +134,26 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	return &Engine{
 		registry:       cfg.Registry,
-		metrics:        cfg.Metrics,
+		metrics:        newMetrics(),
 		window:         cfg.Window,
 		maxBatch:       cfg.MaxBatch,
 		logger:         cfg.Logger,
 		alertSink:      cfg.AlertSink,
 		limiter:        newLimiter(cfg.MaxInFlight, cfg.MaxQueue),
-		sessions:       session.NewRegistry(session.Config{MaxStreams: cfg.MaxStreams, MaxPerTenant: cfg.MaxStreamsPerTenant}),
 		requestTimeout: cfg.RequestTimeout,
 		retryAfter:     cfg.RetryAfter,
+		maxStreams:     cfg.MaxStreams,
+		maxPerTenant:   cfg.MaxStreamsPerTenant,
 		streamIdle:     cfg.StreamIdleTimeout,
 		streamWrite:    cfg.StreamWriteTimeout,
 		faults:         cfg.Faults,
 		coalescers:     make(map[string]*Coalescer),
+		tenantStreams:  make(map[string]int),
+		streamDrain:    make(chan struct{}),
 	}, nil
 }
 
-// Metrics returns the engine's metrics sink (shared across transports).
+// Metrics returns the engine's metrics (shared across transports).
 func (e *Engine) Metrics() *Metrics { return e.metrics }
 
 // Registry returns the engine's model registry.
@@ -162,8 +173,53 @@ func (e *Engine) StreamWriteTimeout() time.Duration { return e.streamWrite }
 // event and rejects new streams with 503/UNAVAILABLE. mvgserve registers
 // it via http.Server.RegisterOnShutdown so streams start draining the
 // moment SIGTERM arrives, instead of pinning the HTTP drain until its
-// timeout. Idempotent; Shutdown also calls it.
-func (e *Engine) DrainStreams() { e.sessions.Drain() }
+// timeout. Open dialogues stay counted until they close. Idempotent;
+// Shutdown also calls it.
+func (e *Engine) DrainStreams() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.streamsDrained {
+		e.streamsDrained = true
+		close(e.streamDrain)
+	}
+}
+
+// claimStream takes a stream slot for tenant. It checks, in order, the
+// drain, the global ceiling and the tenant quota, so an over-quota tenant
+// cannot learn whether the server is also full. Draining is a 503; a
+// limit or quota rejection is a 429 counted with the predict sheds. The
+// texts reach clients in response bodies and gRPC status messages.
+func (e *Engine) claimStream(tenant string) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var reason string
+	switch open, mine := e.metrics.activeStreams.Value(), e.tenantStreams[tenant]; {
+	case e.streamsDrained:
+		return Errorf(StatusUnavailable, "session: server draining")
+	case e.maxStreams > 0 && open >= int64(e.maxStreams):
+		reason = fmt.Sprintf("session: server stream limit reached (%d open)", open)
+	case e.maxPerTenant > 0 && mine >= e.maxPerTenant:
+		reason = fmt.Sprintf("session: tenant stream quota reached (tenant %q has %d open)", tenant, mine)
+	default:
+		e.tenantStreams[tenant]++
+		e.metrics.activeStreams.Add(1)
+		return nil
+	}
+	e.metrics.Shed()
+	serr := Errorf(StatusShed, "%s: try again in %v", reason, e.retryAfter)
+	serr.RetryAfter = e.retryAfter
+	return serr
+}
+
+// releaseStream returns a slot taken by claimStream.
+func (e *Engine) releaseStream(tenant string) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.tenantStreams[tenant]--; e.tenantStreams[tenant] <= 0 {
+		delete(e.tenantStreams, tenant)
+	}
+	e.metrics.activeStreams.Add(-1)
+}
 
 // Shutdown drains the engine: new predictions are rejected with
 // 503/UNAVAILABLE and every coalescer is closed, which blocks until all
@@ -180,7 +236,7 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	e.mu.Unlock()
 	// Tell every live dialogue to finish (they close with a done event);
 	// new streams are rejected from here on.
-	e.sessions.Drain()
+	e.DrainStreams()
 
 	done := make(chan struct{})
 	go func() {
@@ -389,7 +445,7 @@ func (e *Engine) HealthSnapshot() Health {
 		Shedding:   e.limiter.saturated(),
 		InFlight:   inFlight,
 		QueueDepth: queued,
-		Streams:    e.sessions.Active(),
+		Streams:    int(e.metrics.ActiveStreams()),
 		ShedTotal:  e.metrics.ShedTotal(),
 		EvictTotals: map[string]uint64{
 			EvictIdle:       e.metrics.StreamEvictedTotal(EvictIdle),

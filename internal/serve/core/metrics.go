@@ -1,92 +1,67 @@
 package core
 
 import (
-	"fmt"
 	"io"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"strconv"
+
+	"mvg/internal/obs"
 )
 
-// Metrics aggregates the server's operational counters and exposes them in
-// the Prometheus text format on GET /metrics. It has no external
-// dependencies: counters are plain atomics, histograms are fixed-bucket
-// arrays behind a mutex. A zero-value-like Metrics from NewMetrics is safe
-// for concurrent use by every handler and coalescer.
+// Metrics is the server's operational counter set, exposed in the
+// Prometheus text format on GET /metrics. It declares the mvgserve_*
+// families on an obs.Registry and is safe for concurrent use by every
+// handler and coalescer. Each Engine builds and owns one.
 type Metrics struct {
-	inFlight atomic.Int64
+	reg obs.Registry
 
-	mu       sync.Mutex
-	requests map[requestKey]uint64
-	latency  histogram
-	batch    histogram
-
-	// Alerting observability: how many live alerting streams sit in each
-	// (trigger, state) cell, and how many transitions each trigger has made
-	// into each destination state. Keys are trigger names, which the alert
-	// package restricts to a Prometheus-label-safe charset.
-	alertState       map[alertKey]int64
-	alertTransitions map[alertKey]uint64
-
-	coalescedBatches  atomic.Uint64
-	coalescedRequests atomic.Uint64
-
-	// Overload-safety counters (docs/robustness.md): requests shed by the
-	// admission limiter, requests that hit the server's own deadline, and
-	// streams evicted by reason. The eviction map is pre-seeded with the
-	// known reasons so the time series exist (at zero) from the first
-	// scrape — monotonicity checks and dashboards need the line present
-	// before the first eviction, not after.
-	shedTotal           atomic.Uint64
-	requestTimeoutTotal atomic.Uint64
-	activeStreams       atomic.Int64
-	streamEvicted       map[string]uint64 // guarded by mu
+	inFlight          *obs.Gauge
+	coalescedBatches  *obs.Counter
+	coalescedRequests *obs.Counter
+	// Overload safety (docs/robustness.md): requests shed by the
+	// admission limiter or a stream quota, requests that hit the server's
+	// own deadline, and streams evicted by reason.
+	shed            *obs.Counter
+	requestTimeouts *obs.Counter
+	// activeStreams is the engine's one live-stream count: the MaxStreams
+	// check, /healthz and the scrape all read it.
+	activeStreams *obs.Gauge
+	streamEvicted *obs.CounterVec
+	requests      *obs.CounterVec
+	// Alerting: how many live alerting streams sit in each (trigger,
+	// state) cell, and how many transitions each trigger has made into
+	// each destination state. Trigger names come from the alert package,
+	// which restricts them to a Prometheus-label-safe charset.
+	alertState       *obs.GaugeVec
+	alertTransitions *obs.CounterVec
+	latency          *obs.Histogram
+	batch            *obs.Histogram
 }
 
-type requestKey struct {
-	route string
-	code  int
-}
-
-type alertKey struct {
-	trigger string
-	state   string // current state (gauge) or destination state (counter)
-}
-
-// histogram is a fixed-bucket cumulative histogram (Prometheus semantics:
-// bucket i counts observations ≤ bounds[i], plus an implicit +Inf bucket).
-type histogram struct {
-	bounds []float64
-	counts []uint64 // len(bounds)+1; last is +Inf
-	sum    float64
-	total  uint64
-}
-
-func newHistogram(bounds []float64) histogram {
-	return histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-func (h *histogram) observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	h.sum += v
-	h.total++
-}
-
-// NewMetrics returns a Metrics with latency buckets spanning 100µs–10s and
+// newMetrics returns a Metrics with latency buckets spanning 100µs–10s and
 // batch-size buckets aligned with typical coalescing windows.
-func NewMetrics() *Metrics {
-	return &Metrics{
-		requests: make(map[requestKey]uint64),
-		latency: newHistogram([]float64{
-			0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-			0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-		}),
-		batch:            newHistogram([]float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
-		alertState:       make(map[alertKey]int64),
-		alertTransitions: make(map[alertKey]uint64),
-		streamEvicted:    map[string]uint64{EvictIdle: 0, EvictSlowReader: 0},
-	}
+func newMetrics() *Metrics {
+	m := &Metrics{}
+	r := &m.reg
+	m.inFlight = r.Gauge("mvgserve_in_flight_requests", "HTTP requests currently being served.")
+	m.coalescedBatches = r.Counter("mvgserve_coalesced_batches_total", "Prediction batches flushed by the coalescer.")
+	m.coalescedRequests = r.Counter("mvgserve_coalesced_requests_total", "Single-series requests served through coalesced batches.")
+	m.shed = r.Counter("mvgserve_shed_total", "Requests rejected by the admission limiter (429).")
+	m.requestTimeouts = r.Counter("mvgserve_request_timeout_total", "Requests that exceeded the server request deadline (503).")
+	m.activeStreams = r.Gauge("mvgserve_active_streams", "Live NDJSON stream dialogues.")
+	m.streamEvicted = r.CounterVec("mvgserve_stream_evicted_total", "Streams terminated by the server, by reason.", "reason")
+	// Pre-seed the known reasons so their series exist (at zero) from the
+	// first scrape: monotonicity checks and dashboards need the line
+	// present before the first eviction, not after.
+	m.streamEvicted.With(EvictIdle)
+	m.streamEvicted.With(EvictSlowReader)
+	m.requests = r.CounterVec("mvgserve_requests_total", "HTTP requests by route and status code.", "route", "code")
+	m.alertState = r.GaugeVec("mvgserve_alert_state", "Live alerting streams in each state, by trigger.", "trigger", "state")
+	m.alertTransitions = r.CounterVec("mvgserve_alert_transitions_total", "Alert state transitions, by trigger and destination state.", "trigger", "to")
+	m.latency = r.Histogram("mvgserve_request_duration_seconds", "HTTP request latency.",
+		0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
+		0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10)
+	m.batch = r.Histogram("mvgserve_batch_size", "Coalesced batch size distribution.", 1, 2, 4, 8, 16, 32, 64, 128, 256)
+	return m
 }
 
 // Stream eviction reasons (the label values of
@@ -100,67 +75,44 @@ const (
 )
 
 // Shed counts one request rejected by the admission limiter (429).
-func (m *Metrics) Shed() { m.shedTotal.Add(1) }
+func (m *Metrics) Shed() { m.shed.Inc() }
 
 // ShedTotal reports the number of shed requests so far.
-func (m *Metrics) ShedTotal() uint64 { return m.shedTotal.Load() }
+func (m *Metrics) ShedTotal() uint64 { return m.shed.Value() }
 
 // RequestTimeout counts one request that hit the server's own deadline
 // (503 via -request-timeout).
-func (m *Metrics) RequestTimeout() { m.requestTimeoutTotal.Add(1) }
+func (m *Metrics) RequestTimeout() { m.requestTimeouts.Inc() }
 
 // RequestTimeoutTotal reports the number of server-deadline timeouts.
-func (m *Metrics) RequestTimeoutTotal() uint64 { return m.requestTimeoutTotal.Load() }
+func (m *Metrics) RequestTimeoutTotal() uint64 { return m.requestTimeouts.Value() }
 
-// StreamStarted/StreamEnded maintain the live-stream gauge; the handler
-// calls them around each registered NDJSON dialogue.
-func (m *Metrics) StreamStarted() { m.activeStreams.Add(1) }
-
-// StreamEnded is StreamStarted's closing bracket.
-func (m *Metrics) StreamEnded() { m.activeStreams.Add(-1) }
-
-// ActiveStreams reports the number of live NDJSON stream dialogues.
-func (m *Metrics) ActiveStreams() int64 { return m.activeStreams.Load() }
+// ActiveStreams reports the number of open stream dialogues.
+func (m *Metrics) ActiveStreams() int64 { return m.activeStreams.Value() }
 
 // StreamEvicted counts one stream terminated by the server for reason
 // (EvictIdle, EvictSlowReader).
-func (m *Metrics) StreamEvicted(reason string) {
-	m.mu.Lock()
-	m.streamEvicted[reason]++
-	m.mu.Unlock()
-}
+func (m *Metrics) StreamEvicted(reason string) { m.streamEvicted.With(reason).Inc() }
 
 // StreamEvictedTotal reports the eviction count for one reason.
 func (m *Metrics) StreamEvictedTotal(reason string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.streamEvicted[reason]
+	return m.streamEvicted.With(reason).Value()
 }
 
 // AlertStreamStarted records a new alerting stream's trigger entering the
 // OK state; call once per trigger when the stream's evaluator is armed.
-func (m *Metrics) AlertStreamStarted(trigger string) {
-	m.mu.Lock()
-	m.alertState[alertKey{trigger, "OK"}]++
-	m.mu.Unlock()
-}
+func (m *Metrics) AlertStreamStarted(trigger string) { m.alertState.With(trigger, "OK").Add(1) }
 
 // AlertStreamEnded removes a finished stream's trigger from the state
 // gauge; state is the trigger's final state.
-func (m *Metrics) AlertStreamEnded(trigger, state string) {
-	m.mu.Lock()
-	m.alertState[alertKey{trigger, state}]--
-	m.mu.Unlock()
-}
+func (m *Metrics) AlertStreamEnded(trigger, state string) { m.alertState.With(trigger, state).Add(-1) }
 
 // AlertTransition moves one trigger between states in the gauge and counts
 // the transition by destination.
 func (m *Metrics) AlertTransition(trigger, from, to string) {
-	m.mu.Lock()
-	m.alertState[alertKey{trigger, from}]--
-	m.alertState[alertKey{trigger, to}]++
-	m.alertTransitions[alertKey{trigger, to}]++
-	m.mu.Unlock()
+	m.alertState.With(trigger, from).Add(-1)
+	m.alertState.With(trigger, to).Add(1)
+	m.alertTransitions.With(trigger, to).Inc()
 }
 
 // RequestStarted increments the in-flight gauge and returns a completion
@@ -169,121 +121,22 @@ func (m *Metrics) RequestStarted() func(route string, code int, seconds float64)
 	m.inFlight.Add(1)
 	return func(route string, code int, seconds float64) {
 		m.inFlight.Add(-1)
-		m.mu.Lock()
-		m.requests[requestKey{route, code}]++
-		m.latency.observe(seconds)
-		m.mu.Unlock()
+		m.requests.With(route, strconv.Itoa(code)).Inc()
+		m.latency.Observe(seconds)
 	}
 }
 
 // ObserveBatch records one coalesced batch of the given size.
 func (m *Metrics) ObserveBatch(size int) {
-	m.coalescedBatches.Add(1)
+	m.coalescedBatches.Inc()
 	m.coalescedRequests.Add(uint64(size))
-	m.mu.Lock()
-	m.batch.observe(float64(size))
-	m.mu.Unlock()
+	m.batch.Observe(float64(size))
 }
-
-// InFlight reports the number of HTTP requests currently being served.
-func (m *Metrics) InFlight() int64 { return m.inFlight.Load() }
 
 // WritePrometheus renders every metric in the Prometheus text exposition
 // format (version 0.0.4), the format scraped by GET /metrics.
 func (m *Metrics) WritePrometheus(w io.Writer) {
-	fmt.Fprintf(w, "# HELP mvgserve_in_flight_requests HTTP requests currently being served.\n")
-	fmt.Fprintf(w, "# TYPE mvgserve_in_flight_requests gauge\n")
-	fmt.Fprintf(w, "mvgserve_in_flight_requests %d\n", m.inFlight.Load())
-
-	fmt.Fprintf(w, "# HELP mvgserve_coalesced_batches_total Prediction batches flushed by the coalescer.\n")
-	fmt.Fprintf(w, "# TYPE mvgserve_coalesced_batches_total counter\n")
-	fmt.Fprintf(w, "mvgserve_coalesced_batches_total %d\n", m.coalescedBatches.Load())
-
-	fmt.Fprintf(w, "# HELP mvgserve_coalesced_requests_total Single-series requests served through coalesced batches.\n")
-	fmt.Fprintf(w, "# TYPE mvgserve_coalesced_requests_total counter\n")
-	fmt.Fprintf(w, "mvgserve_coalesced_requests_total %d\n", m.coalescedRequests.Load())
-
-	fmt.Fprintf(w, "# HELP mvgserve_shed_total Requests rejected by the admission limiter (429).\n")
-	fmt.Fprintf(w, "# TYPE mvgserve_shed_total counter\n")
-	fmt.Fprintf(w, "mvgserve_shed_total %d\n", m.shedTotal.Load())
-
-	fmt.Fprintf(w, "# HELP mvgserve_request_timeout_total Requests that exceeded the server request deadline (503).\n")
-	fmt.Fprintf(w, "# TYPE mvgserve_request_timeout_total counter\n")
-	fmt.Fprintf(w, "mvgserve_request_timeout_total %d\n", m.requestTimeoutTotal.Load())
-
-	fmt.Fprintf(w, "# HELP mvgserve_active_streams Live NDJSON stream dialogues.\n")
-	fmt.Fprintf(w, "# TYPE mvgserve_active_streams gauge\n")
-	fmt.Fprintf(w, "mvgserve_active_streams %d\n", m.activeStreams.Load())
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	fmt.Fprintf(w, "# HELP mvgserve_stream_evicted_total Streams terminated by the server, by reason.\n")
-	fmt.Fprintf(w, "# TYPE mvgserve_stream_evicted_total counter\n")
-	reasons := make([]string, 0, len(m.streamEvicted))
-	for reason := range m.streamEvicted {
-		reasons = append(reasons, reason)
-	}
-	sort.Strings(reasons)
-	for _, reason := range reasons {
-		fmt.Fprintf(w, "mvgserve_stream_evicted_total{reason=%q} %d\n", reason, m.streamEvicted[reason])
-	}
-
-	fmt.Fprintf(w, "# HELP mvgserve_requests_total HTTP requests by route and status code.\n")
-	fmt.Fprintf(w, "# TYPE mvgserve_requests_total counter\n")
-	keys := make([]requestKey, 0, len(m.requests))
-	for k := range m.requests {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].route != keys[j].route {
-			return keys[i].route < keys[j].route
-		}
-		return keys[i].code < keys[j].code
-	})
-	for _, k := range keys {
-		fmt.Fprintf(w, "mvgserve_requests_total{route=%q,code=\"%d\"} %d\n", k.route, k.code, m.requests[k])
-	}
-
-	fmt.Fprintf(w, "# HELP mvgserve_alert_state Live alerting streams in each state, by trigger.\n")
-	fmt.Fprintf(w, "# TYPE mvgserve_alert_state gauge\n")
-	for _, k := range sortedAlertKeys(m.alertState) {
-		fmt.Fprintf(w, "mvgserve_alert_state{trigger=%q,state=%q} %d\n", k.trigger, k.state, m.alertState[k])
-	}
-
-	fmt.Fprintf(w, "# HELP mvgserve_alert_transitions_total Alert state transitions, by trigger and destination state.\n")
-	fmt.Fprintf(w, "# TYPE mvgserve_alert_transitions_total counter\n")
-	for _, k := range sortedAlertKeys(m.alertTransitions) {
-		fmt.Fprintf(w, "mvgserve_alert_transitions_total{trigger=%q,to=%q} %d\n", k.trigger, k.state, m.alertTransitions[k])
-	}
-
-	writeHistogram(w, "mvgserve_request_duration_seconds", "HTTP request latency.", &m.latency)
-	writeHistogram(w, "mvgserve_batch_size", "Coalesced batch size distribution.", &m.batch)
-}
-
-func sortedAlertKeys[V int64 | uint64](m map[alertKey]V) []alertKey {
-	keys := make([]alertKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].trigger != keys[j].trigger {
-			return keys[i].trigger < keys[j].trigger
-		}
-		return keys[i].state < keys[j].state
-	})
-	return keys
-}
-
-func writeHistogram(w io.Writer, name, help string, h *histogram) {
-	fmt.Fprintf(w, "# HELP %s %s\n", name, help)
-	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-	cum := uint64(0)
-	for i, bound := range h.bounds {
-		cum += h.counts[i]
-		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, bound, cum)
-	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, h.total)
-	fmt.Fprintf(w, "%s_sum %g\n", name, h.sum)
-	fmt.Fprintf(w, "%s_count %d\n", name, h.total)
+	// A failed write means the scraper went away; there is no one left
+	// to report it to.
+	_ = m.reg.WritePrometheus(w)
 }
