@@ -164,8 +164,8 @@ func (m *Model) ErrorRate(ctx context.Context, series [][]float64, labels []int)
 }
 
 // Pipeline returns the pipeline the model predicts on — the one that
-// trained it (Pipeline.Train) or the dedicated pipeline built by the
-// deprecated free functions. Closing it invalidates the model.
+// trained it (Pipeline.Train), or the dedicated pipeline LoadModel or
+// FeatureStore.Train builds. Closing it invalidates the model.
 func (m *Model) Pipeline() *Pipeline { return m.pipe }
 
 // Classes returns the number of classes the model was trained with.

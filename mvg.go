@@ -32,8 +32,8 @@
 // one-shot free functions in docs/api.md.
 //
 // Lower-level building blocks (graph construction, motif counting, feature
-// extraction) are exposed through Pipeline.Extract and SummarizeGraph for
-// exploratory analysis.
+// extraction) are exposed through Pipeline.Extract, SummarizeVG and
+// SummarizeHVG for exploratory analysis.
 package mvg
 
 import (

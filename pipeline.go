@@ -15,16 +15,15 @@ import (
 // worker pool whose per-worker scratch buffers (PAA pyramid, CSR arrays,
 // motif counters) survive across calls. Build it once with NewPipeline and
 // reuse it for every batch — extraction on a warm pipeline allocates only
-// the result rows, where the per-call free functions rebuild the compiled
-// extractor and re-grow a throwaway pool's scratch on every invocation
+// the result rows, where a pipeline built per call rebuilds the compiled
+// extractor and re-grows its pool's scratch on every invocation
 // (BenchmarkPipelineReuse quantifies the difference; small batches feel it
 // most, which is exactly what a serving coalescer flushes).
 //
 // All methods take a context.Context with cooperative cancellation:
 // between per-series jobs the pool checks the context, so abandoned work
 // stops burning CPU promptly and the call returns ctx.Err(). Results are
-// byte-identical for every worker count and identical to the deprecated
-// free functions — see docs/concurrency.md.
+// byte-identical for every worker count — see docs/concurrency.md.
 //
 // A Pipeline is safe for concurrent use. Close releases the worker
 // goroutines; a pipeline that is dropped without Close is cleaned up when
@@ -58,8 +57,8 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		pool:      parallel.NewPool(core.NewScratch),
 	}
 	p.workers.Store(int64(cfg.Workers))
-	// Safety net for pipelines dropped without Close (including every
-	// model built by the deprecated free functions): release the pool's
+	// Safety net for pipelines dropped without Close (including the one
+	// LoadModel builds for every loaded model): release the pool's
 	// goroutines when the pipeline becomes unreachable. The cleanup
 	// argument is the pool, not the pipeline, so it does not keep the
 	// pipeline alive.
@@ -134,10 +133,10 @@ func (p *Pipeline) Extract(ctx context.Context, series [][]float64) ([][]float64
 }
 
 // Train extracts features from the labelled batch and fits the configured
-// classifier (grid-search cross validation runs on the same pool), exactly
-// like the deprecated free Train. The returned Model is bound to this
-// pipeline: predictions reuse the pipeline's warm workers, and SetWorkers
-// on either retunes both. Labels must be dense ids in [0, classes).
+// classifier (grid-search cross validation runs on the same pool). The
+// returned Model is bound to this pipeline: predictions reuse the
+// pipeline's warm workers, and SetWorkers on either retunes both. Labels
+// must be dense ids in [0, classes).
 func (p *Pipeline) Train(ctx context.Context, series [][]float64, labels []int, classes int) (*Model, error) {
 	if ctx == nil {
 		ctx = context.Background()
