@@ -184,11 +184,11 @@ func (e *Engine) DrainStreams() {
 	}
 }
 
-// claimStream takes a stream slot for tenant. It checks, in order, the
-// drain, the global ceiling and the tenant quota, so an over-quota tenant
-// cannot learn whether the server is also full. Draining is a 503; a
-// limit or quota rejection is a 429 counted with the predict sheds. The
-// texts reach clients in response bodies and gRPC status messages.
+// claimStream takes a stream slot for tenant. It checks the drain, then
+// the global ceiling, then the tenant quota, so a full server gives every
+// tenant the same answer. Draining is a 503; a limit or quota rejection
+// is a 429 counted with the predict sheds. The texts reach clients in
+// response bodies and gRPC status messages.
 func (e *Engine) claimStream(tenant string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
