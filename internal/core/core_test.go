@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"mvg/internal/parallel"
 )
 
 func randSeries(n int, rng *rand.Rand) []float64 {
@@ -353,21 +356,24 @@ func TestScratchReusePurity(t *testing.T) {
 	}
 }
 
-// TestExtractDatasetWorkersDeterministic pins the worker-count invariance
-// of the batch engine at the core layer.
-func TestExtractDatasetWorkersDeterministic(t *testing.T) {
+// TestExtractDatasetPoolDeterministic pins the worker-count invariance
+// of the batch engine at the core layer, on one pool whose workers keep
+// their scratch as the cap grows.
+func TestExtractDatasetPoolDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	series := make([][]float64, 30)
 	for i := range series {
 		series[i] = randSeries(128, rng)
 	}
 	e, _ := NewExtractor(Options{})
-	ref, err := e.ExtractDatasetWorkers(series, 1)
+	pool := parallel.NewPool(NewScratch)
+	defer pool.Close()
+	ref, err := e.ExtractDatasetPool(context.Background(), pool, 1, series)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 5, 16} {
-		X, err := e.ExtractDatasetWorkers(series, workers)
+		X, err := e.ExtractDatasetPool(context.Background(), pool, workers, series)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

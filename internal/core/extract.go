@@ -315,47 +315,26 @@ func (e *Extractor) extractSeries(sc *Scratch, series []float64, t0vg, t0hvg *gr
 
 // ExtractDataset extracts features for every series in parallel across
 // GOMAXPROCS workers (the pipeline is embarrassingly parallel, which the
-// paper lists as a design goal). All series must yield equally long feature
-// vectors, which holds when they share a common length.
+// paper lists as a design goal). It is ExtractDatasetPool on a pool that
+// lives for this one call, for one-shot callers with no pool to reuse.
+// All series must yield equally long feature vectors, which holds when
+// they share a common length.
 func (e *Extractor) ExtractDataset(series [][]float64) ([][]float64, error) {
-	return e.ExtractDatasetWorkers(series, 0)
+	pool := parallel.NewPool(NewScratch)
+	defer pool.Close()
+	return e.ExtractDatasetPool(context.Background(), pool, 0, series)
 }
 
-// ExtractDatasetWorkers is ExtractDataset with an explicit worker count
-// (<= 0 selects GOMAXPROCS). Rows of the result are ordered like the input
-// and are byte-identical for every worker count: jobs are index-addressed
-// and each worker runs the pure per-series extraction with its own private
-// scratch (see internal/parallel and docs/concurrency.md).
-//
-// Scratch is created per call; long-lived callers that extract many
-// (often small) batches should hold a persistent pool and use
-// ExtractDatasetPool instead, which keeps the warm scratch buffers alive
-// across calls.
-func (e *Extractor) ExtractDatasetWorkers(series [][]float64, workers int) ([][]float64, error) {
-	n := len(series)
-	if n == 0 {
-		return nil, fmt.Errorf("core: empty dataset")
-	}
-	out := make([][]float64, n)
-	err := parallel.ForEachScratch(workers, n, NewScratch, func(sc *Scratch, i int) error {
-		return e.extractRow(sc, series, out, i)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := checkWidths(out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ExtractDatasetPool is ExtractDatasetWorkers running on a caller-owned
-// persistent worker pool: per-worker Scratch buffers survive across calls
-// instead of being rebuilt per batch, and the context is checked between
-// per-series jobs so a cancelled batch stops burning CPU promptly
-// (returning ctx.Err()). This is the engine behind mvg.Pipeline. The
-// output is byte-identical to ExtractDatasetWorkers for every worker
-// count — extraction is a pure function of each series.
+// ExtractDatasetPool extracts features for every series on a
+// caller-owned worker pool, across up to workers goroutines (<= 0
+// selects GOMAXPROCS). Rows of the result are ordered like the input and
+// are byte-identical for every worker count: jobs are index-addressed and
+// each worker runs the pure per-series extraction with its own private
+// scratch (see internal/parallel and docs/concurrency.md). Per-worker
+// Scratch buffers survive across calls on the same pool, and the context
+// is checked between per-series jobs so a cancelled batch stops burning
+// CPU promptly (returning ctx.Err()). This is the engine behind
+// mvg.Pipeline.
 //
 // Batches with fewer series than the resolved worker budget, all of them
 // at least scaleParallelMinLen points long, are parallelized *within*
@@ -385,16 +364,18 @@ func (e *Extractor) ExtractDatasetPool(ctx context.Context, pool *parallel.Pool[
 			}
 			out[i] = v
 		}
-		if err := checkWidths(out); err != nil {
+	} else {
+		err := pool.ForEach(ctx, workers, n, func(sc *Scratch, i int) error {
+			v, err := e.ExtractWith(sc, series[i])
+			if err != nil {
+				return fmt.Errorf("core: series %d: %w", i, err)
+			}
+			out[i] = v
+			return nil
+		})
+		if err != nil {
 			return nil, err
 		}
-		return out, nil
-	}
-	err := pool.ForEach(ctx, workers, n, func(sc *Scratch, i int) error {
-		return e.extractRow(sc, series, out, i)
-	})
-	if err != nil {
-		return nil, err
 	}
 	if err := checkWidths(out); err != nil {
 		return nil, err
@@ -487,17 +468,6 @@ func (e *Extractor) coordScratch() *Scratch {
 		return sc
 	}
 	return NewScratch()
-}
-
-// extractRow is the shared per-series job body of the two batch entry
-// points: extract series[i] into out[i] with the worker's scratch.
-func (e *Extractor) extractRow(sc *Scratch, series [][]float64, out [][]float64, i int) error {
-	v, err := e.ExtractWith(sc, series[i])
-	if err != nil {
-		return fmt.Errorf("core: series %d: %w", i, err)
-	}
-	out[i] = v
-	return nil
 }
 
 // checkWidths verifies every row of a completed batch has the width of

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"mvg/internal/core"
+	"mvg/internal/parallel"
 )
 
 // RunThroughput measures the batch feature-extraction engine at several
@@ -47,22 +49,10 @@ func (r *Runner) RunThroughput() error {
 	var baseline float64
 	var reference [][]float64
 	for _, workers := range workerCounts {
-		// Warm once so timing excludes scratch growth, then measure enough
-		// repetitions to smooth scheduler noise.
-		if _, err := e.ExtractDatasetWorkers(series, workers); err != nil {
+		X, rate, err := timeBatch(e, series, workers)
+		if err != nil {
 			return err
 		}
-		const reps = 3
-		start := time.Now()
-		var X [][]float64
-		for rep := 0; rep < reps; rep++ {
-			X, err = e.ExtractDatasetWorkers(series, workers)
-			if err != nil {
-				return err
-			}
-		}
-		elapsed := time.Since(start).Seconds()
-		rate := float64(reps*batch) / elapsed
 		if workers == 1 {
 			baseline = rate
 			reference = X
@@ -79,6 +69,30 @@ func (r *Runner) RunThroughput() error {
 	tbl.flush()
 	fmt.Fprintln(w)
 	return nil
+}
+
+// timeBatch extracts series on one pool of the given worker count and
+// returns the feature matrix and the rate in series/sec. A first batch
+// warms the pool so timing excludes scratch growth; the timed repetitions
+// reuse those workers and their scratch.
+func timeBatch(e *core.Extractor, series [][]float64, workers int) ([][]float64, float64, error) {
+	pool := parallel.NewPool(core.NewScratch)
+	defer pool.Close()
+	ctx := context.Background()
+	if _, err := e.ExtractDatasetPool(ctx, pool, workers, series); err != nil {
+		return nil, 0, err
+	}
+	// Enough repetitions to smooth scheduler noise.
+	const reps = 3
+	start := time.Now()
+	var X [][]float64
+	for rep := 0; rep < reps; rep++ {
+		var err error
+		if X, err = e.ExtractDatasetPool(ctx, pool, workers, series); err != nil {
+			return nil, 0, err
+		}
+	}
+	return X, float64(reps*len(series)) / time.Since(start).Seconds(), nil
 }
 
 // matricesEqual reports bit-for-bit equality of two feature matrices

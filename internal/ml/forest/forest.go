@@ -4,14 +4,14 @@
 package forest
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"mvg/internal/ml"
 	"mvg/internal/ml/cart"
+	"mvg/internal/parallel"
 )
 
 // Params configures the forest.
@@ -78,51 +78,32 @@ func (f *Forest) Fit(X [][]float64, y []int, classes int) error {
 		seeds[i] = seedRng.Int63()
 	}
 
-	workers := runtime.NumCPU()
-	if workers > p.NumTrees {
-		workers = p.NumTrees
-	}
-	errs := make([]error, p.NumTrees)
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range jobs {
-				rng := rand.New(rand.NewSource(seeds[t]))
-				bx := make([][]float64, len(X))
-				by := make([]int, len(y))
-				for i := range bx {
-					j := rng.Intn(len(X))
-					bx[i] = X[j]
-					by[i] = y[j]
-				}
-				tree := cart.New(cart.Params{
-					MaxDepth:       p.MaxDepth,
-					MinSamplesLeaf: p.MinSamplesLeaf,
-					MaxFeatures:    maxFeatures,
-					Seed:           rng.Int63(),
-				})
-				if err := tree.Fit(bx, by, classes); err != nil {
-					errs[t] = err
-					continue
-				}
-				f.trees[t] = tree
-			}
-		}()
-	}
-	for t := 0; t < p.NumTrees; t++ {
-		jobs <- t
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	// The trees fan out on a pool that lives for this call. Every job reads
+	// only its own seed and writes only its own slot, so the forest does
+	// not depend on the worker count.
+	pool := parallel.NewPool(func() struct{} { return struct{}{} })
+	defer pool.Close()
+	return pool.ForEach(context.Background(), 0, p.NumTrees, func(_ struct{}, t int) error {
+		rng := rand.New(rand.NewSource(seeds[t]))
+		bx := make([][]float64, len(X))
+		by := make([]int, len(y))
+		for i := range bx {
+			j := rng.Intn(len(X))
+			bx[i] = X[j]
+			by[i] = y[j]
+		}
+		tree := cart.New(cart.Params{
+			MaxDepth:       p.MaxDepth,
+			MinSamplesLeaf: p.MinSamplesLeaf,
+			MaxFeatures:    maxFeatures,
+			Seed:           rng.Int63(),
+		})
+		if err := tree.Fit(bx, by, classes); err != nil {
 			return err
 		}
-	}
-	return nil
+		f.trees[t] = tree
+		return nil
+	})
 }
 
 // PredictProba averages the leaf distributions of all trees.

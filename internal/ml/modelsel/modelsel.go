@@ -155,13 +155,13 @@ func CrossValidate(ctx context.Context, c ml.Classifier, X [][]float64, y []int,
 }
 
 // GridSearch cross-validates every candidate on the given executor — the
-// persistent pool of an mvg.Pipeline, or parallel.Limit(workers) for
-// one-shot searches (run == nil defaults to Limit(0), i.e. GOMAXPROCS
-// per-call goroutines) — and returns the results sorted by ascending log
-// loss (best first, original grid order breaking ties so the outcome is
-// deterministic regardless of the worker count). The context cancels the
-// search between cross-validation jobs, returning ctx.Err(). Candidates
-// that fail to train are skipped; an error is returned only if all fail.
+// persistent pool of an mvg.Pipeline, or, when run is nil, a pool of
+// GOMAXPROCS workers that lives for this call — and returns the results
+// sorted by ascending log loss (best first, original grid order breaking
+// ties so the outcome is deterministic regardless of the worker count).
+// The context cancels the search between cross-validation jobs, returning
+// ctx.Err(). Candidates that fail to train are skipped; an error is
+// returned only if all fail.
 func GridSearch(ctx context.Context, run parallel.Runner, candidates []ml.Classifier, X [][]float64, y []int, classes, folds int, oversample bool, seed int64) ([]CVResult, error) {
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("modelsel: no candidates")
@@ -170,14 +170,18 @@ func GridSearch(ctx context.Context, run parallel.Runner, candidates []ml.Classi
 		ctx = context.Background()
 	}
 	if run == nil {
-		run = parallel.Limit(0)
+		pool := parallel.NewPool(func() struct{} { return struct{}{} })
+		defer pool.Close()
+		run = func(ctx context.Context, n int, fn func(i int) error) error {
+			return pool.ForEach(ctx, 0, n, func(_ struct{}, i int) error { return fn(i) })
+		}
 	}
 	type slot struct {
 		res CVResult
 		err error
 	}
 	slots := make([]slot, len(candidates))
-	err := run.Run(ctx, len(candidates), func(i int) error {
+	err := run(ctx, len(candidates), func(i int) error {
 		slots[i].res, slots[i].err = CrossValidate(ctx, candidates[i], X, y, classes, folds, oversample, seed)
 		return nil // per-candidate failures are tolerated below
 	})

@@ -37,9 +37,6 @@ type Params struct {
 	Seed int64
 	// MetaL2 is the meta-learner's ridge penalty (default 1e-3).
 	MetaL2 float64
-	// Workers caps the worker goroutines used for candidate grid search
-	// (<= 0 selects GOMAXPROCS; see internal/parallel).
-	Workers int
 }
 
 func (p Params) withDefaults() Params {
@@ -111,13 +108,15 @@ func (e *Ensemble) Members() []Member { return e.members }
 //  4. refit every selected base estimator on the full training set.
 //
 // Fit satisfies ml.Classifier by running FitContext with a background
-// context on a per-call executor capped at Params.Workers.
+// context and no executor, so each family's grid search runs on a pool
+// of GOMAXPROCS workers that lives for that search.
 func (e *Ensemble) Fit(X [][]float64, y []int, classes int) error {
-	return e.FitContext(context.Background(), parallel.Limit(e.P.Workers), X, y, classes)
+	return e.FitContext(context.Background(), nil, X, y, classes)
 }
 
 // FitContext is Fit with cooperative cancellation and an explicit
-// grid-search executor — mvg.Pipeline hands in its persistent pool here.
+// grid-search executor — mvg.Pipeline hands in its persistent pool here;
+// a nil run gives each grid search a pool of its own (modelsel.GridSearch).
 // The context is checked between grid-search jobs, folds and member
 // refits; a cancelled fit returns ctx.Err().
 func (e *Ensemble) FitContext(ctx context.Context, run parallel.Runner, X [][]float64, y []int, classes int) error {

@@ -1,30 +1,38 @@
-// Package parallel provides the worker-pool executor used by every batch
-// stage of the MVG pipeline: feature extraction over a dataset (per-series,
-// or per-scale within one long series), grid-search cross validation, and
-// any future fan-out (sharding, serving, caching).
+// Package parallel provides the one executor that every fan-out of the
+// MVG pipeline runs on: Pool, a worker pool with per-worker scratch. It
+// carries feature extraction over a dataset (per-series, or per-scale
+// within one long series), grid-search cross validation and random-forest
+// tree building. mvg.Pipeline keeps one Pool alive across calls; one-shot
+// callers (the experiments, a grid search given no Runner, forest.Fit)
+// build a Pool for the call and Close it before returning.
 //
 // The executor makes two guarantees that the pipeline relies on:
 //
 //   - Determinism. Jobs are identified by index and results are written to
 //     caller-owned, index-addressed storage, so the output of a run is
-//     independent of scheduling order and of the worker count. When several
-//     jobs fail, the error of the lowest-numbered job is returned, so error
-//     reporting is deterministic too.
-//   - Scratch isolation. ForEachScratch hands every worker goroutine its own
-//     scratch value, created once per worker and reused across all jobs that
-//     worker executes. Hot loops (e.g. core.Extractor) use this to recycle
-//     degree arrays, PAA buffers and motif counters instead of reallocating
-//     them per series.
+//     independent of scheduling order and of the worker count. Every job
+//     runs even when others fail, and the error of the lowest-numbered
+//     failing job is returned, so error reporting is deterministic too.
+//   - Scratch isolation. Every worker goroutine owns one scratch value,
+//     created once and reused across all jobs that worker executes. Hot
+//     loops (e.g. core.Extractor) use this to recycle degree arrays, PAA
+//     buffers and motif counters instead of reallocating them per series.
 //
 // See docs/concurrency.md for the concurrency model exposed to users via
 // mvg.Config.Workers.
 package parallel
 
 import (
+	"context"
 	"runtime"
-	"sync"
-	"sync/atomic"
 )
+
+// Runner runs fn(i) for every i in [0, n) under the Pool.ForEach
+// contract: every job runs even when others fail, the lowest failing
+// index's error wins, and ctx.Err() is returned when the context is
+// cancelled before every job ran. mvg.Pipeline binds one to its own pool
+// and live worker cap, so grid search fans out on the pipeline's workers.
+type Runner func(ctx context.Context, n int, fn func(i int) error) error
 
 // Workers resolves a requested worker count against a job count: requested
 // <= 0 selects runtime.GOMAXPROCS(0) (one worker per available CPU), and
@@ -41,61 +49,4 @@ func Workers(requested, jobs int) int {
 		w = 1
 	}
 	return w
-}
-
-// ForEach executes fn(i) for every i in [0, n) across the given number of
-// worker goroutines (0 = GOMAXPROCS). Every job runs exactly once, even
-// when earlier jobs fail; the error of the lowest failing index is
-// returned. With workers == 1 all jobs run on the calling goroutine.
-func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachScratch(workers, n,
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) error { return fn(i) })
-}
-
-// ForEachScratch is ForEach with per-worker state: newScratch is called
-// once per worker goroutine and the returned value is passed to every job
-// that worker executes. fn owns the scratch for the duration of a call and
-// may mutate it freely; it must copy anything that outlives the job into
-// index-addressed result storage (scratch contents are overwritten by the
-// worker's next job).
-func ForEachScratch[S any](workers, n int, newScratch func() S, fn func(scratch S, i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	workers = Workers(workers, n)
-	if workers == 1 {
-		scratch := newScratch()
-		var first error
-		for i := 0; i < n; i++ {
-			if err := fn(scratch, i); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := newScratch()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(scratch, i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -31,11 +32,21 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
+// newPlainPool returns a pool whose jobs need no scratch.
+func newPlainPool() *Pool[struct{}] {
+	return NewPool(func() struct{} { return struct{}{} })
+}
+
+// TestForEachRunsEveryJobOnce runs batches at growing worker caps on one
+// pool, the way Pipeline.SetWorkers retunes a live pipeline: every job of
+// every batch runs exactly once.
 func TestForEachRunsEveryJobOnce(t *testing.T) {
+	p := newPlainPool()
+	defer p.Close()
 	for _, workers := range []int{1, 2, 7, 64} {
 		const n = 1000
 		counts := make([]atomic.Int32, n)
-		err := ForEach(workers, n, func(i int) error {
+		err := p.ForEach(context.Background(), workers, n, func(_ struct{}, i int) error {
 			counts[i].Add(1)
 			return nil
 		})
@@ -51,8 +62,10 @@ func TestForEachRunsEveryJobOnce(t *testing.T) {
 }
 
 func TestForEachZeroJobs(t *testing.T) {
+	p := newPlainPool()
+	defer p.Close()
 	called := false
-	if err := ForEach(4, 0, func(int) error { called = true; return nil }); err != nil {
+	if err := p.ForEach(context.Background(), 4, 0, func(struct{}, int) error { called = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if called {
@@ -63,8 +76,10 @@ func TestForEachZeroJobs(t *testing.T) {
 func TestForEachLowestIndexError(t *testing.T) {
 	// Several jobs fail; the reported error must always be the lowest
 	// failing index, independent of worker count and scheduling.
+	p := newPlainPool()
+	defer p.Close()
 	for _, workers := range []int{1, 2, 8} {
-		err := ForEach(workers, 100, func(i int) error {
+		err := p.ForEach(context.Background(), workers, 100, func(_ struct{}, i int) error {
 			if i%7 == 3 { // fails at 3, 10, 17, ...
 				return fmt.Errorf("job %d", i)
 			}
@@ -76,55 +91,19 @@ func TestForEachLowestIndexError(t *testing.T) {
 	}
 }
 
-func TestForEachScratchPerWorkerIsolation(t *testing.T) {
-	// Each worker gets its own scratch; with deterministic job results the
-	// output must not depend on which worker ran which job.
-	type scratch struct{ buf []int }
-	const n = 500
-	for _, workers := range []int{1, 3, 16} {
-		out := make([]int, n)
-		var created atomic.Int32
-		err := ForEachScratch(workers, n,
-			func() *scratch {
-				created.Add(1)
-				return &scratch{buf: make([]int, 0, 8)}
-			},
-			func(s *scratch, i int) error {
-				s.buf = s.buf[:0] // reuse across jobs
-				for k := 0; k <= i%5; k++ {
-					s.buf = append(s.buf, i)
-				}
-				out[i] = len(s.buf) // copy result out of scratch
-				return nil
-			})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		want := Workers(workers, n)
-		if int(created.Load()) != want {
-			t.Errorf("workers=%d: newScratch called %d times, want %d", workers, created.Load(), want)
-		}
-		for i, got := range out {
-			if got != i%5+1 {
-				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, got, i%5+1)
-			}
-		}
-	}
-}
-
-func TestForEachScratchErrorsDoNotSkipJobs(t *testing.T) {
+func TestForEachErrorsDoNotSkipJobs(t *testing.T) {
+	p := newPlainPool()
+	defer p.Close()
 	const n = 64
 	var ran atomic.Int32
 	sentinel := errors.New("boom")
-	err := ForEachScratch(4, n,
-		func() int { return 0 },
-		func(_ int, i int) error {
-			ran.Add(1)
-			if i == 0 {
-				return sentinel
-			}
-			return nil
-		})
+	err := p.ForEach(context.Background(), 4, n, func(_ struct{}, i int) error {
+		ran.Add(1)
+		if i == 0 {
+			return sentinel
+		}
+		return nil
+	})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
 	}

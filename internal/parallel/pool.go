@@ -7,85 +7,13 @@ import (
 	"sync/atomic"
 )
 
-// ErrPoolClosed is returned by Pool.ForEach and Pool.Run after Close: the
-// pool's workers have exited and no new batches are accepted. mvg.Pipeline
+// ErrPoolClosed is returned by Pool.ForEach after Close: the pool's
+// workers have exited and no new batches are accepted. mvg.Pipeline
 // translates it into the public mvg.ErrPipelineClosed.
 var ErrPoolClosed = errors.New("parallel: pool closed")
 
-// Runner abstracts "run n index-addressed jobs with cooperative
-// cancellation": the executor contract shared by the persistent Pool and
-// the per-call Limit fallback. Implementations guarantee the ForEach
-// determinism rules (index-addressed jobs, lowest-index error wins) and
-// return ctx.Err() when the context is cancelled before every job ran.
-type Runner interface {
-	Run(ctx context.Context, n int, fn func(i int) error) error
-}
-
-// RunnerFunc adapts a function to the Runner interface.
-type RunnerFunc func(ctx context.Context, n int, fn func(i int) error) error
-
-// Run implements Runner.
-func (f RunnerFunc) Run(ctx context.Context, n int, fn func(i int) error) error {
-	return f(ctx, n, fn)
-}
-
-// Limit returns a per-call Runner: every Run spawns up to workers
-// goroutines (<= 0 selects GOMAXPROCS) that exit when the batch drains.
-// It is the executor for callers with no long-lived pipeline to borrow a
-// Pool from (experiments, one-shot grid searches).
-func Limit(workers int) Runner {
-	return RunnerFunc(func(ctx context.Context, n int, fn func(i int) error) error {
-		return ForEachContext(ctx, workers, n, fn)
-	})
-}
-
-// ForEachContext is ForEach with cooperative cancellation: the context is
-// checked between jobs, so a cancelled batch stops claiming new jobs
-// promptly (in-flight jobs finish — fn is never interrupted mid-run) and
-// the call returns ctx.Err(). Results of jobs that ran are already in the
-// caller's index-addressed storage; jobs after the cancellation point
-// simply never execute.
-func ForEachContext(ctx context.Context, workers, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	workers = Workers(workers, n)
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Pool is a persistent worker pool with per-worker scratch: each worker
-// goroutine owns one S, created on the worker's first job and reused for
+// goroutine owns one S, created when the worker starts and reused for
 // every job it ever executes — across batches, not just within one. This
 // is what makes a warm mvg.Pipeline cheap: the scratch buffers (PAA
 // pyramid, CSR arrays, motif counters) stay grown between calls instead of
@@ -95,7 +23,8 @@ func ForEachContext(ctx context.Context, workers, n int, fn func(i int) error) e
 // Workers are spawned lazily, growing to the largest worker count any
 // batch has requested; idle workers park on a channel receive and cost
 // nothing. A Pool must eventually be Closed to release its goroutines
-// (mvg.Pipeline arranges this via Close and a GC cleanup fallback).
+// (mvg.Pipeline arranges this via Close and a GC cleanup fallback; a
+// one-shot caller defers Close right after NewPool).
 //
 // ForEach keeps the package's determinism contract: jobs are
 // index-addressed, results live in caller-owned storage, and the error of
@@ -114,8 +43,7 @@ type Pool[S any] struct {
 }
 
 // NewPool returns an empty pool; no goroutines run until the first batch.
-// newScratch is called once per worker goroutine, exactly like
-// ForEachScratch's per-worker constructor.
+// newScratch is called once per worker goroutine, when it starts.
 func NewPool[S any](newScratch func() S) *Pool[S] {
 	return &Pool[S]{
 		newScratch: newScratch,
@@ -155,7 +83,9 @@ func (p *Pool[S]) worker() {
 // fanning across up to `workers` of the persistent goroutines (<= 0
 // selects GOMAXPROCS; the cap is clamped to n). The context is checked
 // between jobs: on cancellation, running jobs finish, unstarted jobs are
-// skipped, and ctx.Err() is returned. After Close it returns ErrPoolClosed.
+// skipped, and ctx.Err() is returned. A failing job does not skip the
+// others; the error of the lowest failing index is returned. After Close
+// it returns ErrPoolClosed.
 //
 // Concurrent ForEach calls are safe and share the worker set; each batch
 // claims at most `workers` of them. A batch that got at least one worker
@@ -225,13 +155,6 @@ submit:
 		}
 	}
 	return nil
-}
-
-// Run executes scratch-free jobs on the pool — the Runner shape used by
-// grid-search cross validation, which needs the pipeline's executor but
-// not its extraction scratch.
-func (p *Pool[S]) Run(ctx context.Context, workers, n int, fn func(i int) error) error {
-	return p.ForEach(ctx, workers, n, func(_ S, i int) error { return fn(i) })
 }
 
 // Close stops the workers and waits for them to exit. Batches that already

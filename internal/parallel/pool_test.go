@@ -46,7 +46,7 @@ func TestPoolForEachRunsEveryJob(t *testing.T) {
 
 // TestPoolScratchPersistsAcrossBatches is the pool's reason to exist: the
 // same per-worker scratch values serve batch after batch, instead of being
-// rebuilt per call like ForEachScratch's.
+// rebuilt per call.
 func TestPoolScratchPersistsAcrossBatches(t *testing.T) {
 	var created atomic.Int64
 	p := NewPool(func() *struct{} {
@@ -67,10 +67,10 @@ func TestPoolScratchPersistsAcrossBatches(t *testing.T) {
 	}
 }
 
-// TestPoolErrorDeterminism: like ForEachScratch, the error of the
-// lowest-numbered failing job wins regardless of scheduling.
+// TestPoolErrorDeterminism: the error of the lowest-numbered failing job
+// wins regardless of scheduling.
 func TestPoolErrorDeterminism(t *testing.T) {
-	p := NewPool(func() struct{} { return struct{}{} })
+	p := newPlainPool()
 	defer p.Close()
 	for trial := 0; trial < 20; trial++ {
 		err := p.ForEach(context.Background(), 8, 50, func(_ struct{}, i int) error {
@@ -88,7 +88,7 @@ func TestPoolErrorDeterminism(t *testing.T) {
 // TestPoolCancellation: cancelling mid-batch returns ctx.Err() promptly
 // and stops claiming new jobs; the pool stays usable afterwards.
 func TestPoolCancellation(t *testing.T) {
-	p := NewPool(func() struct{} { return struct{}{} })
+	p := newPlainPool()
 	defer p.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -125,7 +125,7 @@ func TestPoolCancellation(t *testing.T) {
 
 // TestPoolPreCancelled: an already-cancelled context runs nothing.
 func TestPoolPreCancelled(t *testing.T) {
-	p := NewPool(func() struct{} { return struct{}{} })
+	p := newPlainPool()
 	defer p.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -147,7 +147,7 @@ func TestPoolPreCancelled(t *testing.T) {
 // cancellation satellite requires).
 func TestPoolCloseReleasesGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
-	p := NewPool(func() struct{} { return struct{}{} })
+	p := newPlainPool()
 	if err := p.ForEach(context.Background(), 8, 64, func(_ struct{}, i int) error {
 		return nil
 	}); err != nil {
@@ -184,7 +184,7 @@ func waitForGoroutines(t *testing.T, baseline int) {
 // TestPoolConcurrentBatches: many goroutines share one pool; every batch
 // completes correctly even when batches outnumber workers.
 func TestPoolConcurrentBatches(t *testing.T) {
-	p := NewPool(func() struct{} { return struct{}{} })
+	p := newPlainPool()
 	defer p.Close()
 
 	var wg sync.WaitGroup
@@ -213,30 +213,123 @@ func TestPoolConcurrentBatches(t *testing.T) {
 	}
 }
 
-// TestLimitRunner covers the per-call Runner fallback: completeness,
-// cancellation, and nil-context tolerance.
-func TestLimitRunner(t *testing.T) {
-	run := Limit(4)
+// TestPoolNilContext: a nil context runs the batch as context.Background.
+func TestPoolNilContext(t *testing.T) {
+	p := newPlainPool()
+	defer p.Close()
+	var ctx context.Context // nil
 	var count atomic.Int64
-	if err := run.Run(nil, 25, func(i int) error { count.Add(1); return nil }); err != nil {
+	if err := p.ForEach(ctx, 4, 25, func(_ struct{}, i int) error { count.Add(1); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if count.Load() != 25 {
 		t.Fatalf("ran %d of 25", count.Load())
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := run.Run(ctx, 5, func(i int) error { return nil }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-	boom := errors.New("boom")
-	err := run.Run(context.Background(), 10, func(i int) error {
-		if i >= 4 {
-			return boom
+}
+
+// hookCtx calls hook on every Done call. ForEach calls Done only in the
+// select that hands a task to a worker, so the hook runs at a known point
+// of the hand-out loop: call k is the attempt to hand out task k.
+type hookCtx struct {
+	context.Context
+	calls atomic.Int32
+	hook  func(call int32)
+}
+
+func (c *hookCtx) Done() <-chan struct{} {
+	c.hook(c.calls.Add(1))
+	return c.Context.Done()
+}
+
+// occupy parks every worker of a fresh one-worker pool inside a batch
+// and returns that batch's result channel and the release that lets it
+// finish.
+func occupy(t *testing.T, p *Pool[struct{}]) (result <-chan error, release chan<- struct{}) {
+	t.Helper()
+	started := make(chan struct{})
+	rel := make(chan struct{})
+	res := make(chan error, 1)
+	go func() {
+		res <- p.ForEach(context.Background(), 1, 1, func(struct{}, int) error {
+			close(started)
+			<-rel
+			return nil
+		})
+	}()
+	<-started
+	return res, rel
+}
+
+// TestPoolCloseWhileBusy: a Close while every worker is busy turns the
+// batch still waiting for a worker away with ErrPoolClosed, and the busy
+// batch runs to completion before Close returns.
+func TestPoolCloseWhileBusy(t *testing.T) {
+	p := newPlainPool()
+	busy, release := occupy(t, p)
+
+	closed := make(chan struct{})
+	ctx := &hookCtx{Context: context.Background(), hook: func(call int32) {
+		if call == 1 { // waiting for a worker: close the pool under it
+			go func() { p.Close(); close(closed) }()
 		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
+	}}
+	var ran atomic.Bool
+	err := p.ForEach(ctx, 1, 3, func(struct{}, int) error { ran.Store(true); return nil })
+	if !errors.Is(err, ErrPoolClosed) {
+		t.Fatalf("waiting batch: err = %v, want ErrPoolClosed", err)
+	}
+	if ran.Load() {
+		t.Error("a job of the turned-away batch ran")
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a batch still held a worker")
+	default:
+	}
+	close(release)
+	if err := <-busy; err != nil {
+		t.Fatalf("busy batch: %v", err)
+	}
+	<-closed
+}
+
+// TestPoolCancelWhileHandingOut: a cancel that lands while the batch is
+// still handing tasks to workers stops the hand-out and returns ctx.Err(),
+// whether no task or some tasks were already handed out.
+func TestPoolCancelWhileHandingOut(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		workers   int
+		cancelsAt int32
+	}{
+		{"none handed out", 1, 1},
+		{"one handed out", 2, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := newPlainPool()
+			defer p.Close()
+			busy, release := occupy(t, p)
+
+			parent, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			ctx := &hookCtx{Context: parent, hook: func(call int32) {
+				if call == c.cancelsAt {
+					cancel()
+				}
+			}}
+			// A job holds its worker until the cancel, so every later task
+			// finds no idle worker and only the cancel can end the hand-out.
+			err := p.ForEach(ctx, c.workers, 10, func(struct{}, int) error {
+				<-parent.Done()
+				return nil
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			close(release)
+			if err := <-busy; err != nil {
+				t.Fatalf("busy batch: %v", err)
+			}
+		})
 	}
 }

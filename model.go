@@ -74,7 +74,6 @@ func fitClassifier(ctx context.Context, run parallel.Runner, X [][]float64, labe
 			Folds:      folds,
 			Oversample: cfg.Oversample,
 			Seed:       cfg.Seed,
-			Workers:    cfg.Workers,
 		},
 			stack.Family{Name: "xgb", Candidates: grids.XGB(size, cfg.Seed)},
 			stack.Family{Name: "rf", Candidates: grids.RF(size, cfg.Seed)},

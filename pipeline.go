@@ -169,13 +169,13 @@ func (p *Pipeline) Train(ctx context.Context, series [][]float64, labels []int, 
 	}, nil
 }
 
-// runner exposes the pipeline's pool as the executor for scratch-free
+// runner binds the pipeline's pool as the executor for scratch-free
 // fan-out (grid-search cross validation), honouring the live worker cap at
 // each call.
 func (p *Pipeline) runner() parallel.Runner {
-	return parallel.RunnerFunc(func(ctx context.Context, n int, fn func(i int) error) error {
-		return p.pool.Run(ctx, p.Workers(), n, fn)
-	})
+	return func(ctx context.Context, n int, fn func(i int) error) error {
+		return p.pool.ForEach(ctx, p.Workers(), n, func(_ *core.Scratch, i int) error { return fn(i) })
+	}
 }
 
 // wrapErr translates internal sentinel errors into their public
