@@ -98,6 +98,10 @@ func TestDelayThenError(t *testing.T) {
 // re-armed concurrently; run with -race. Every fire must be counted.
 func TestConcurrentFire(t *testing.T) {
 	in := New()
+	// Fire counts only points something has armed, so register "p" (with
+	// a zero delay, which fires as a no-op) before the first goroutine
+	// can fire it.
+	in.Delay("p", 0)
 	const workers, perWorker = 8, 200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

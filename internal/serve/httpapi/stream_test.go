@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -189,13 +190,10 @@ func TestStreamEndpointErrors(t *testing.T) {
 
 // cancellableBody serves a fixed NDJSON prefix, then blocks until its
 // context is cancelled — the shape of a live sensor feed whose client
-// disappears mid-dialogue. drained is closed when the prefix has been
-// fully consumed (i.e. every sample is being / has been processed).
+// disappears mid-dialogue.
 type cancellableBody struct {
-	ctx     context.Context
-	prefix  io.Reader
-	drained chan struct{}
-	once    sync.Once
+	ctx    context.Context
+	prefix io.Reader
 }
 
 func (b *cancellableBody) Read(p []byte) (int, error) {
@@ -203,9 +201,24 @@ func (b *cancellableBody) Read(p []byte) (int, error) {
 	if n > 0 || err != io.EOF {
 		return n, err
 	}
-	b.once.Do(func() { close(b.drained) })
 	<-b.ctx.Done()
 	return 0, b.ctx.Err()
+}
+
+// firstLineRecorder is a ResponseRecorder that closes firstLine once the
+// handler has written its first complete response line.
+type firstLineRecorder struct {
+	*httptest.ResponseRecorder
+	firstLine chan struct{}
+	once      sync.Once
+}
+
+func (r *firstLineRecorder) Write(p []byte) (int, error) {
+	n, err := r.ResponseRecorder.Write(p)
+	if bytes.IndexByte(p[:n], '\n') >= 0 {
+		r.once.Do(func() { close(r.firstLine) })
+	}
+	return n, err
 }
 
 // TestStreamEndpointCancellation abandons the dialogue mid-stream and
@@ -216,21 +229,21 @@ func TestStreamEndpointCancellation(t *testing.T) {
 	srv, _ := newTestServer(t, core.Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	samples := testInputs(1, 7)[0]
-	body := &cancellableBody{ctx: ctx, prefix: strings.NewReader(streamBody(samples)), drained: make(chan struct{})}
+	body := &cancellableBody{ctx: ctx, prefix: strings.NewReader(streamBody(samples))}
 	req := httptest.NewRequest(http.MethodPost, "/v1/models/demo/stream?hop=32", body).WithContext(ctx)
-	rec := httptest.NewRecorder()
+	rec := &firstLineRecorder{ResponseRecorder: httptest.NewRecorder(), firstLine: make(chan struct{})}
 
 	done := make(chan struct{})
 	go func() {
 		srv.ServeHTTP(rec, req)
 		close(done)
 	}()
-	// Wait until every sample has been handed to the handler (so at least
-	// one prediction is in flight or written), then vanish.
+	// Wait until the first prediction line is out (the dialogue is live),
+	// then vanish.
 	select {
-	case <-body.drained:
+	case <-rec.firstLine:
 	case <-time.After(30 * time.Second):
-		t.Fatal("handler never consumed the sample prefix")
+		t.Fatal("handler never wrote a response line")
 	}
 	cancel()
 	select {
