@@ -87,11 +87,11 @@ func main() {
 		maxInFlight       = flag.Int("max-inflight", 64, "concurrently executing predict requests; 0 disables admission control")
 		maxQueue          = flag.Int("max-queue", 256, "predict requests allowed to wait for a slot; beyond this they are shed with 429")
 		requestTimeout    = flag.Duration("request-timeout", 30*time.Second, "server-side deadline per predict request, queue wait included (503 on expiry); 0 disables")
-		retryAfter        = flag.Duration("retry-after", time.Second, "Retry-After hint attached to 429/503 shed and timeout responses")
-		maxStreams        = flag.Int("max-streams", 1024, "concurrently open stream dialogues across all tenants; -1 = unlimited")
-		maxTenantStreams  = flag.Int("max-streams-per-tenant", 64, "concurrently open streams per tenant (?tenant= or client IP); -1 = unlimited")
-		streamIdleTimeout = flag.Duration("stream-idle-timeout", 5*time.Minute, "evict a stream that sends no sample for this long; -1s disables")
-		streamWriteTo     = flag.Duration("stream-write-timeout", 10*time.Second, "evict a stream whose client stops reading for this long; -1s disables")
+		retryAfter        = flag.Duration("retry-after", core.DefaultRetryAfter, "Retry-After hint attached to 429/503 shed and timeout responses")
+		maxStreams        = flag.Int("max-streams", core.DefaultMaxStreams, "concurrently open stream dialogues across all tenants; -1 = unlimited")
+		maxTenantStreams  = flag.Int("max-streams-per-tenant", core.DefaultMaxStreamsPerTenant, "concurrently open streams per tenant (?tenant= or client IP); -1 = unlimited")
+		streamIdleTimeout = flag.Duration("stream-idle-timeout", core.DefaultStreamIdleTimeout, "evict a stream that sends no sample for this long; -1s disables")
+		streamWriteTo     = flag.Duration("stream-write-timeout", core.DefaultStreamWriteTimeout, "evict a stream whose client stops reading for this long; -1s disables")
 		readHeaderTo      = flag.Duration("read-header-timeout", 5*time.Second, "http.Server ReadHeaderTimeout: how long a client may dribble request headers (slowloris guard)")
 	)
 	flag.Parse()
