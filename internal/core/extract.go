@@ -322,7 +322,7 @@ func (e *Extractor) extractSeries(sc *Scratch, series []float64, t0vg, t0hvg *gr
 func (e *Extractor) ExtractDataset(series [][]float64) ([][]float64, error) {
 	pool := parallel.NewPool(NewScratch)
 	defer pool.Close()
-	return e.ExtractDatasetPool(context.Background(), pool, 0, series)
+	return e.ExtractDatasetPool(context.TODO(), pool, 0, series)
 }
 
 // ExtractDatasetPool extracts features for every series on a

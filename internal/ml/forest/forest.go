@@ -83,7 +83,7 @@ func (f *Forest) Fit(X [][]float64, y []int, classes int) error {
 	// not depend on the worker count.
 	pool := parallel.NewPool(func() struct{} { return struct{}{} })
 	defer pool.Close()
-	return pool.ForEach(context.Background(), 0, p.NumTrees, func(_ struct{}, t int) error {
+	return pool.ForEach(context.TODO(), 0, p.NumTrees, func(_ struct{}, t int) error {
 		rng := rand.New(rand.NewSource(seeds[t]))
 		bx := make([][]float64, len(X))
 		by := make([]int, len(y))

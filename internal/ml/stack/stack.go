@@ -107,11 +107,11 @@ func (e *Ensemble) Members() []Member { return e.members }
 //     trained on out-of-fold base predictions (line 13),
 //  4. refit every selected base estimator on the full training set.
 //
-// Fit satisfies ml.Classifier by running FitContext with a background
-// context and no executor, so each family's grid search runs on a pool
-// of GOMAXPROCS workers that lives for that search.
+// Fit satisfies ml.Classifier by running FitContext with no cancellation
+// and no executor, so each family's grid search runs on a pool of
+// GOMAXPROCS workers that lives for that search.
 func (e *Ensemble) Fit(X [][]float64, y []int, classes int) error {
-	return e.FitContext(context.Background(), nil, X, y, classes)
+	return e.FitContext(context.TODO(), nil, X, y, classes)
 }
 
 // FitContext is Fit with cooperative cancellation and an explicit
