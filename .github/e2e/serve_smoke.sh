@@ -85,6 +85,16 @@ http_assert POST /v1/models/shapes/predict_proba 200 "$WORK/req.json" \
   | jq -e ".proba | length == $N_CLASSES and (add > 0.99 and add < 1.01)" >/dev/null \
   || die "/predict_proba shape"
 
+note "GET /metrics: lone singles flush at once"
+# The single /predict and the single /predict_proba each found the model
+# idle, so neither waited for the window; the batch form bypasses the
+# coalescer.
+curl -s "$BASE/metrics" > "$WORK/metrics.txt"
+flushes() { awk -v s="mvgserve_coalescer_flushes_total{reason=\"$1\"}" '$1 == s {print $2}' "$WORK/metrics.txt"; }
+[ "$(flushes idle)" = 2 ] || die "idle flushes = $(flushes idle), want 2"
+[ "$(flushes window)" = 0 ] || die "window flushes = $(flushes window), want 0"
+[ "$(flushes full)" = 0 ] || die "full flushes = $(flushes full), want 0"
+
 note "POST /stream (NDJSON, 2 windows at hop=64)"
 # Two test series back to back = 256 samples through a 128-window model:
 # hop=64 must emit predictions at samples 128, 192 and 256, then done.

@@ -75,7 +75,7 @@ func main() {
 		addr            = flag.String("addr", ":8080", "HTTP listen address")
 		grpcAddr        = flag.String("grpc-addr", "", "gRPC (h2c) listen address; empty disables the gRPC transport")
 		modelDir        = flag.String("models", "", "directory of saved *.mvg models (required)")
-		window          = flag.Duration("window", core.DefaultWindow, "coalescing window: how long the first request of a batch waits for company")
+		window          = flag.Duration("window", core.DefaultWindow, "coalescing window: the longest a request queued behind a busy model waits before its batch flushes")
 		maxBatch        = flag.Int("max-batch", core.DefaultMaxBatch, "flush a coalesced batch at this many pending requests")
 		workers         = flag.Int("workers", 0, "worker goroutines per prediction batch (0 = GOMAXPROCS)")
 		shutdownTimeout = flag.Duration("shutdown-timeout", 15*time.Second, "maximum time to drain in-flight requests on SIGTERM")

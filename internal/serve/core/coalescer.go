@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mvg"
@@ -14,8 +15,9 @@ import (
 var ErrCoalescerClosed = errors.New("serve: coalescer closed")
 
 // DefaultWindow and DefaultMaxBatch are the coalescing defaults used when
-// CoalescerConfig leaves them zero. The 2ms window is small against the
-// per-series extraction cost it amortizes; 64 matches the batch size
+// CoalescerConfig leaves them zero. The window only bounds the wait of a
+// request queued behind a busy model, and 2ms is small against the
+// per-series extraction cost a batch amortizes; 64 matches the batch size
 // BenchmarkExtractBatch pins the engine's throughput on.
 const (
 	DefaultWindow   = 2 * time.Millisecond
@@ -24,9 +26,11 @@ const (
 
 // Coalescer merges concurrent single-series prediction requests into
 // batches for one model, so the parallel engine's per-batch scratch reuse
-// is amortized across HTTP clients. A batch is flushed when the first
-// request in it has waited Window, or when MaxBatch requests are pending,
-// whichever comes first. Each caller gets back exactly the
+// is amortized across HTTP clients. A request that finds no batch of the
+// model predicting is flushed at once. Requests that arrive while a batch
+// predicts queue, and flush together when the model goes idle, when
+// MaxBatch requests are pending, or when the first of them has waited
+// Window, whichever comes first. Each caller gets back exactly the
 // class-probability row for its own series.
 //
 // Determinism contract: feature extraction and classification are pure
@@ -39,7 +43,7 @@ type Coalescer struct {
 	window   time.Duration
 	maxBatch int
 	source   func() (*mvg.Model, error)
-	observe  func(batchSize int)
+	observe  func(batchSize int, reason string)
 
 	reqs chan coalRequest
 
@@ -47,7 +51,15 @@ type Coalescer struct {
 	closed bool
 
 	inFlight sync.WaitGroup // running batch predictions
-	done     chan struct{}  // run loop exited
+	// running counts the batches flushed and not yet finished: the run
+	// loop adds each batch it flushes, and a batch takes itself off and
+	// wakes the loop through finished before fanning its rows back. The
+	// one-slot buffer and a non-blocking send keep a batch from ever
+	// waiting on the loop; one pending wake-up covers any number of
+	// finishes, since the loop re-reads running.
+	running  atomic.Int64
+	finished chan struct{}
+	done     chan struct{} // run loop exited
 }
 
 type coalRequest struct {
@@ -63,15 +75,17 @@ type coalResult struct {
 
 // CoalescerConfig configures NewCoalescer.
 type CoalescerConfig struct {
-	// Window is the maximum time the first request of a batch waits for
-	// company before the batch is flushed (default DefaultWindow).
+	// Window is the maximum time a request queued behind a busy model
+	// waits before its batch is flushed (default DefaultWindow). A
+	// request that finds the model idle does not wait.
 	Window time.Duration
 	// MaxBatch flushes a batch as soon as this many requests are pending
 	// (default DefaultMaxBatch).
 	MaxBatch int
-	// Observe, if set, is called with the size of every flushed batch
-	// (wired to Metrics.ObserveBatch by the server).
-	Observe func(batchSize int)
+	// Observe, if set, is called with the size and flush reason
+	// (FlushIdle, FlushWindow, FlushFull, FlushClose) of every flushed
+	// batch (wired to Metrics.ObserveBatch by the server).
+	Observe func(batchSize int, reason string)
 }
 
 // NewCoalescer starts a coalescer whose batches predict on the model
@@ -91,6 +105,7 @@ func NewCoalescer(source func() (*mvg.Model, error), cfg CoalescerConfig) *Coale
 		source:   source,
 		observe:  cfg.Observe,
 		reqs:     make(chan coalRequest, 4*cfg.MaxBatch),
+		finished: make(chan struct{}, 1),
 		done:     make(chan struct{}),
 	}
 	go c.run()
@@ -100,8 +115,8 @@ func NewCoalescer(source func() (*mvg.Model, error), cfg CoalescerConfig) *Coale
 // Predict submits one series and blocks until its probability row is
 // available, the context is cancelled, or the coalescer is closed. The
 // context travels with the request: a caller that cancels before its
-// batch flushes (a client disconnecting inside the coalescing window) has
-// its slot dropped at flush time, so abandoned requests never cost a
+// batch flushes (a client disconnecting while queued behind a busy model)
+// has its slot dropped at flush time, so abandoned requests never cost a
 // prediction.
 func (c *Coalescer) Predict(ctx context.Context, series []float64) ([]float64, error) {
 	req := coalRequest{ctx: ctx, series: series, out: make(chan coalResult, 1)}
@@ -161,19 +176,6 @@ func (c *Coalescer) run() {
 		timer   *time.Timer
 		timeout <-chan time.Time
 	)
-	flush := func() {
-		if len(pending) == 0 {
-			return
-		}
-		batch := pending
-		pending = nil
-		timeout = nil
-		c.inFlight.Add(1)
-		go func() {
-			defer c.inFlight.Done()
-			c.predictBatch(batch)
-		}()
-	}
 	// disarm stops the timer and drains a concurrently-delivered fire, so
 	// a reused timer channel never holds a stale tick that would flush the
 	// next batch prematurely.
@@ -185,20 +187,46 @@ func (c *Coalescer) run() {
 			}
 		}
 	}
+	flush := func(reason string) {
+		if len(pending) == 0 {
+			return
+		}
+		disarm()
+		batch := pending
+		pending = nil
+		timeout = nil
+		c.running.Add(1)
+		c.inFlight.Add(1)
+		go func() {
+			defer c.inFlight.Done()
+			results := c.predictBatch(batch, reason)
+			// The batch is finished before any caller hears back, so a
+			// caller's next request finds the model idle.
+			c.running.Add(-1)
+			select {
+			case c.finished <- struct{}{}:
+			default: // a wake-up is already pending
+			}
+			for i, req := range batch {
+				req.out <- results[i]
+			}
+		}()
+	}
 	for {
 		select {
 		case req, ok := <-c.reqs:
 			if !ok {
-				disarm()
-				flush()
+				flush(FlushClose)
 				c.inFlight.Wait()
 				return
 			}
 			pending = append(pending, req)
-			if len(pending) >= c.maxBatch {
-				disarm()
-				flush()
-			} else if len(pending) == 1 {
+			switch {
+			case len(pending) >= c.maxBatch:
+				flush(FlushFull)
+			case c.running.Load() == 0:
+				flush(FlushIdle)
+			case len(pending) == 1:
 				if timer == nil {
 					timer = time.NewTimer(c.window)
 				} else {
@@ -206,59 +234,63 @@ func (c *Coalescer) run() {
 				}
 				timeout = timer.C
 			}
+		case <-c.finished:
+			if c.running.Load() == 0 {
+				flush(FlushIdle)
+			}
 		case <-timeout:
-			flush()
+			flush(FlushWindow)
 		}
 	}
 }
 
-// predictBatch runs one coalesced batch and fans results (or errors) back
-// to each caller. Requests whose context was cancelled while the batch
+// predictBatch runs one coalesced batch and returns each request's result,
+// index for index. Requests whose context was cancelled while the batch
 // was assembling are dropped here, before any model work: the caller has
 // already stopped waiting (its Predict returned ctx.Err()), so computing
 // its row would only burn CPU. A batch whose every slot was abandoned
 // skips the model entirely.
-func (c *Coalescer) predictBatch(batch []coalRequest) {
-	live := batch[:0]
-	for _, req := range batch {
+func (c *Coalescer) predictBatch(batch []coalRequest, reason string) []coalResult {
+	results := make([]coalResult, len(batch))
+	live := make([]int, 0, len(batch))
+	for i, req := range batch {
 		if err := req.ctx.Err(); err != nil {
-			req.out <- coalResult{err: err}
+			results[i].err = err
 			continue
 		}
-		live = append(live, req)
+		live = append(live, i)
 	}
-	batch = live
-	if len(batch) == 0 {
-		return
+	if len(live) == 0 {
+		return results
 	}
 	if c.observe != nil {
-		c.observe(len(batch))
+		c.observe(len(live), reason)
 	}
 	model, err := c.source()
 	if err != nil {
-		for _, req := range batch {
-			req.out <- coalResult{err: err}
+		for _, i := range live {
+			results[i].err = err
 		}
-		return
+		return results
 	}
 	// Re-validate lengths against the flush-time model: handlers validated
 	// against a submit-time snapshot, and a reload in between may have
 	// changed SeriesLen. Only the mismatching requests fail; the rest of
 	// the batch predicts normally.
 	want := model.SeriesLen()
-	series := make([][]float64, 0, len(batch))
-	idx := make([]int, 0, len(batch))
-	for i, req := range batch {
-		if len(req.series) != want {
-			req.out <- coalResult{err: Errorf(StatusBadRequest,
-				"series has %d points, model expects %d (model reloaded?)", len(req.series), want)}
+	series := make([][]float64, 0, len(live))
+	idx := live[:0]
+	for _, i := range live {
+		if n := len(batch[i].series); n != want {
+			results[i].err = Errorf(StatusBadRequest,
+				"series has %d points, model expects %d (model reloaded?)", n, want)
 			continue
 		}
-		series = append(series, req.series)
+		series = append(series, batch[i].series)
 		idx = append(idx, i)
 	}
 	if len(series) == 0 {
-		return
+		return results
 	}
 	// The batch predicts under its own background context: the work is
 	// shared by every surviving caller, so one caller's cancellation must
@@ -270,9 +302,10 @@ func (c *Coalescer) predictBatch(batch []coalRequest) {
 	}
 	for k, i := range idx {
 		if err != nil {
-			batch[i].out <- coalResult{err: err}
+			results[i].err = err
 			continue
 		}
-		batch[i].out <- coalResult{proba: proba[k]}
+		results[i].proba = proba[k]
 	}
+	return results
 }

@@ -35,6 +35,7 @@ type Metrics struct {
 	alertTransitions *obs.CounterVec
 	latency          *obs.Histogram
 	batch            *obs.Histogram
+	flushes          *obs.CounterVec
 }
 
 // newMetrics returns a Metrics with latency buckets spanning 100µs–10s and
@@ -61,6 +62,10 @@ func newMetrics() *Metrics {
 		0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 		0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10)
 	m.batch = r.Histogram("mvgserve_batch_size", "Coalesced batch size distribution.", 1, 2, 4, 8, 16, 32, 64, 128, 256)
+	m.flushes = r.CounterVec("mvgserve_coalescer_flushes_total", "Coalesced batches flushed, by reason.", "reason")
+	for _, reason := range []string{FlushIdle, FlushWindow, FlushFull, FlushClose} {
+		m.flushes.With(reason)
+	}
 	return m
 }
 
@@ -72,6 +77,21 @@ const (
 	// EvictSlowReader: the client stopped reading and a write deadline
 	// expired with the response buffer full.
 	EvictSlowReader = "slow_reader"
+)
+
+// Coalescer flush reasons (the label values of
+// mvgserve_coalescer_flushes_total).
+const (
+	// FlushIdle: no batch of the model was predicting, either when the
+	// request arrived or when the last running batch finished.
+	FlushIdle = "idle"
+	// FlushWindow: the first request queued behind a busy model waited
+	// the coalescing window.
+	FlushWindow = "window"
+	// FlushFull: MaxBatch requests were pending.
+	FlushFull = "full"
+	// FlushClose: the coalescer closed with requests pending.
+	FlushClose = "close"
 )
 
 // Shed counts one request rejected by the admission limiter (429).
@@ -126,11 +146,13 @@ func (m *Metrics) RequestStarted() func(route string, code int, seconds float64)
 	}
 }
 
-// ObserveBatch records one coalesced batch of the given size.
-func (m *Metrics) ObserveBatch(size int) {
+// ObserveBatch records one coalesced batch of the given size, flushed for
+// reason (FlushIdle, FlushWindow, FlushFull, FlushClose).
+func (m *Metrics) ObserveBatch(size int, reason string) {
 	m.coalescedBatches.Inc()
 	m.coalescedRequests.Add(uint64(size))
 	m.batch.Observe(float64(size))
+	m.flushes.With(reason).Inc()
 }
 
 // WritePrometheus renders every metric in the Prometheus text exposition

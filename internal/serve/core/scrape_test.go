@@ -20,9 +20,9 @@ var updateScrape = flag.Bool("update-scrape", false, "rewrite testdata/scrape_*.
 
 // TestScrapeGolden renders the scrape of a fresh engine, then again after
 // a call sequence that reaches every family: an in-flight request, routes
-// and codes out of sort order, the pre-seeded eviction reasons, an alert
-// gauge back at 0, and histogram observations exactly on a bucket bound
-// and past the last bound.
+// and codes out of sort order, the pre-seeded eviction and flush reasons,
+// an alert gauge back at 0, and histogram observations exactly on a
+// bucket bound and past the last bound.
 func TestScrapeGolden(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register("demo", testModel(t), "")
@@ -40,10 +40,10 @@ func TestScrapeGolden(t *testing.T) {
 	m.RequestStarted()("predict", 200, 0.0001)
 	m.RequestStarted()("grpc_stream", 503, 0.5)
 
-	m.ObserveBatch(3)
-	m.ObserveBatch(8)   // exactly on a bound
-	m.ObserveBatch(300) // past the last bound (256)
-	m.ObserveBatch(1)
+	m.ObserveBatch(3, FlushWindow)
+	m.ObserveBatch(8, FlushIdle)   // exactly on a bound
+	m.ObserveBatch(300, FlushFull) // past the last bound (256)
+	m.ObserveBatch(1, FlushIdle)   // FlushClose stays at its pre-seeded 0
 
 	m.Shed()
 	m.Shed()
