@@ -242,8 +242,8 @@ func main() {
 	// coalesced batches, which stay open), then close the coalescers,
 	// which flushes any pending batch. The coalescer drain gets its own
 	// budget: if the transport drain consumed the whole timeout (handlers
-	// parked in a long coalescing window), an already-expired context here
-	// would abandon accepted requests.
+	// queued behind a busy model under a long window), an already-expired
+	// context here would abandon accepted requests.
 	httpCtx, cancelHTTP := context.WithTimeout(context.Background(), *shutdownTimeout)
 	if err := httpSrv.Shutdown(httpCtx); err != nil {
 		logger.Printf("http shutdown: %v", err)

@@ -50,7 +50,7 @@ func main() {
 
 	engine, err := core.NewEngine(core.Config{
 		Registry: registry,
-		Window:   2 * time.Millisecond, // coalescing window
+		Window:   2 * time.Millisecond, // longest wait behind a busy model
 		MaxBatch: 64,
 	})
 	check(err)

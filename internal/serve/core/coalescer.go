@@ -15,9 +15,9 @@ import (
 var ErrCoalescerClosed = errors.New("serve: coalescer closed")
 
 // DefaultWindow and DefaultMaxBatch are the coalescing defaults used when
-// CoalescerConfig leaves them zero. The window only bounds the wait of a
-// request queued behind a busy model, and 2ms is small against the
-// per-series extraction cost a batch amortizes; 64 matches the batch size
+// CoalescerConfig leaves them zero. The window bounds only the wait of a
+// request queued behind a busy model, which usually flushes sooner, when
+// the running batch finishes; 64 matches the batch size
 // BenchmarkExtractBatch pins the engine's throughput on.
 const (
 	DefaultWindow   = 2 * time.Millisecond
