@@ -10,11 +10,14 @@
 // strings owned by the code that fires them (see PointPredict and
 // friends for the serving layer's names); tests arm them by name.
 //
-// Firing semantics: a point may carry a delay, an error, or both. The
-// delay is applied first (bounded by the context — a cancelled context
-// cuts the sleep short and returns ctx.Err()), then the error, if any, is
-// returned. An armed error may be bounded with FailN so the first n calls
-// fail and later calls succeed — the shape of a dependency that recovers.
+// Firing semantics: a point may carry a delay, a block, an error, or any
+// mix. The delay is applied first, then the block (both bounded by the
+// context — a cancelled context cuts the wait short and returns
+// ctx.Err()), then the error, if any, is returned. An armed error may be
+// bounded with FailN so the first n calls fail and later calls succeed —
+// the shape of a dependency that recovers. A block holds every Fire until
+// the test releases it, for a path that must stay busy exactly as long as
+// the test needs.
 package faults
 
 import (
@@ -26,8 +29,13 @@ import (
 // Fault point names used by the serving layer. Owning them here keeps the
 // chaos suite and the firing sites from drifting apart.
 const (
-	// PointPredict fires before every coalesced batch prediction.
+	// PointPredict fires before every single-series predict enters its
+	// model's coalescer.
 	PointPredict = "serve.predict"
+	// PointCoalescedBatch fires inside every coalesced batch, at flush
+	// time, before the batch resolves its model. Blocking it keeps the
+	// model busy, so later requests queue behind the held batch.
+	PointCoalescedBatch = "serve.coalesced_batch"
 	// PointBatchPredict fires before every batch-form handler prediction.
 	PointBatchPredict = "serve.predict_batch"
 	// PointStreamPredict fires before every per-hop stream prediction.
@@ -64,6 +72,7 @@ type rule struct {
 	err       error
 	remaining int // calls left to fail; -1 = unbounded
 	fired     uint64
+	gate      chan struct{} // set by Block; closed by its release
 }
 
 // New returns an empty (disarmed) Injector.
@@ -107,12 +116,34 @@ func (in *Injector) FailN(point string, n int, err error) {
 	r.remaining = n
 }
 
+// Block arms point so every Fire waits until release is called or its
+// context is done. release lets every waiting Fire go on and disarms the
+// block; calling it again is a no-op. Clear and Reset stop later Fires
+// from blocking, but only release frees the ones already waiting.
+func (in *Injector) Block(point string) (release func()) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	gate := make(chan struct{})
+	in.rule(point).gate = gate
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			in.mu.Lock()
+			if r, ok := in.points[point]; ok && r.gate == gate {
+				r.gate = nil
+			}
+			in.mu.Unlock()
+			close(gate)
+		})
+	}
+}
+
 // Clear disarms one point; its fire count is preserved.
 func (in *Injector) Clear(point string) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if r, ok := in.points[point]; ok {
-		r.delay, r.err, r.remaining = 0, nil, -1
+		r.delay, r.err, r.remaining, r.gate = 0, nil, -1, nil
 	}
 }
 
@@ -137,9 +168,10 @@ func (in *Injector) Count(point string) uint64 {
 	return 0
 }
 
-// Fire consults point: it sleeps through an armed delay (cut short by ctx,
-// whose error is then returned) and returns the armed error, if any. On a
-// nil Injector or an unarmed point it returns nil immediately.
+// Fire consults point: it sleeps through an armed delay and waits out an
+// armed block (either cut short by ctx, whose error is then returned) and
+// returns the armed error, if any. On a nil Injector or an unarmed point
+// it returns nil immediately.
 func (in *Injector) Fire(ctx context.Context, point string) error {
 	if in == nil {
 		return nil
@@ -151,7 +183,7 @@ func (in *Injector) Fire(ctx context.Context, point string) error {
 		return nil
 	}
 	r.fired++
-	delay := r.delay
+	delay, gate := r.delay, r.gate
 	var err error
 	if r.err != nil && r.remaining != 0 {
 		err = r.err
@@ -166,6 +198,13 @@ func (in *Injector) Fire(ctx context.Context, point string) error {
 		defer t.Stop()
 		select {
 		case <-t.C:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	if gate != nil {
+		select {
+		case <-gate:
 		case <-ctx.Done():
 			return ctx.Err()
 		}

@@ -81,6 +81,47 @@ func TestDelayHonoursContext(t *testing.T) {
 	}
 }
 
+// TestBlockUntilRelease: a blocked point holds every Fire until release,
+// a cancelled context cuts the wait short, and a released point no longer
+// blocks.
+func TestBlockUntilRelease(t *testing.T) {
+	in := New()
+	release := in.Block("p")
+	done := make(chan error, 1)
+	go func() { done <- in.Fire(context.Background(), "p") }()
+	for in.Count("p") == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("blocked Fire returned %v before release", err)
+	default:
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := in.Fire(ctx, "p"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Fire = %v, want context.Canceled", err)
+	}
+
+	release()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("released Fire = %v, want nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("release did not free the waiting Fire")
+	}
+	release() // a second release is a no-op
+	if err := in.Fire(context.Background(), "p"); err != nil {
+		t.Fatalf("Fire after release = %v, want nil", err)
+	}
+	if got := in.Count("p"); got != 3 {
+		t.Fatalf("count = %d, want 3", got)
+	}
+}
+
 func TestDelayThenError(t *testing.T) {
 	in := New()
 	in.Delay("p", time.Millisecond)

@@ -264,6 +264,9 @@ func (e *Engine) coalescer(name string) *Coalescer {
 	c, ok := e.coalescers[name]
 	if !ok {
 		c = NewCoalescer(func() (*mvg.Model, error) {
+			if err := e.faults.Fire(context.Background(), faults.PointCoalescedBatch); err != nil {
+				return nil, err
+			}
 			m, ok := e.registry.Get(name)
 			if !ok || m == nil {
 				return nil, fmt.Errorf("serve: unknown model %q", name)
