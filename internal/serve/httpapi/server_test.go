@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"mvg/internal/faults"
 	"mvg/internal/serve/core"
 	"net/http"
 	"net/http/httptest"
@@ -216,45 +218,88 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestGracefulShutdown is the SIGTERM drain integration test: requests in
 // flight when shutdown starts are answered, requests after are rejected.
 func TestGracefulShutdown(t *testing.T) {
-	srv, ts := newTestServer(t, core.Config{Window: 50 * time.Millisecond, MaxBatch: 64})
+	inj := faults.New()
+	srv, ts := newTestServer(t, core.Config{Window: time.Hour, MaxBatch: 64, Faults: inj})
+	// Hold every coalesced batch until release, so the model stays busy
+	// and the later requests queue in the coalescer behind the first.
+	// Both cleanups run before the server's Close, which waits for
+	// handlers: if the drain leaves some waiting, cancelling the clients
+	// frees them, so the test fails instead of hanging in Close.
+	release := inj.Block(faults.PointCoalescedBatch)
+	t.Cleanup(release)
+	clientCtx, cancelClients := context.WithCancel(context.Background())
+	t.Cleanup(cancelClients)
+	inj.Delay(faults.PointPredict, 0) // count the requests reaching the coalescer
 	inputs := testInputs(4, 15)
 
-	// Park requests inside the coalescing window so they are mid-flight
-	// when shutdown begins.
 	var wg sync.WaitGroup
 	errs := make(chan error, len(inputs))
-	for i := range inputs {
-		i := i
+	send := func(series []float64) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, data := postJSONQuiet(ts.URL+"/v1/models/demo/predict", map[string]any{"series": inputs[i]})
-			if resp == nil {
-				errs <- fmt.Errorf("in-flight request dropped during drain")
+			raw, _ := json.Marshal(map[string]any{"series": series})
+			req, _ := http.NewRequestWithContext(clientCtx, "POST", ts.URL+"/v1/models/demo/predict", bytes.NewReader(raw))
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				errs <- fmt.Errorf("in-flight request dropped during drain: %v", err)
 				return
 			}
+			defer resp.Body.Close()
+			data, _ := io.ReadAll(resp.Body)
 			if resp.StatusCode != 200 {
 				errs <- fmt.Errorf("in-flight request got %d: %s", resp.StatusCode, data)
 			}
 		}()
 	}
-	time.Sleep(10 * time.Millisecond) // let the requests enter the window
+	send(inputs[0])
+	waitUntil(t, "the first batch to be held", func() bool {
+		return inj.Count(faults.PointCoalescedBatch) == 1
+	})
+	for _, series := range inputs[1:] {
+		send(series)
+	}
+	waitUntil(t, "every request to reach the coalescer", func() bool {
+		return inj.Count(faults.PointPredict) == uint64(len(inputs))
+	})
 
 	// Mirror cmd/mvgserve's drain order: stop the listener first (waits
 	// for active handlers, which are blocked on the coalescer), then close
-	// the coalescers.
+	// the coalescers. No handler can finish while the batch is held, so
+	// the HTTP drain runs out of budget with all of them still waiting.
+	httpCtx, cancelHTTP := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancelHTTP()
+	if err := ts.Config.Shutdown(httpCtx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("http shutdown = %v, want its deadline: handlers are blocked on the held batch", err)
+	}
+	// The engine drain flushes the queued requests as one batch while the
+	// first is still held; releasing the hold lets both finish.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := ts.Config.Shutdown(ctx); err != nil {
-		t.Fatalf("http shutdown: %v", err)
-	}
-	if err := srv.Engine().Shutdown(ctx); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Engine().Shutdown(ctx) }()
+	waitUntil(t, "the drain to flush the queued requests", func() bool {
+		return inj.Count(faults.PointCoalescedBatch) == 2
+	})
+	release()
+	if err := <-drained; err != nil {
 		t.Fatalf("server shutdown: %v", err)
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	srv.Engine().Metrics().WritePrometheus(&buf)
+	for _, want := range []string{
+		`mvgserve_coalescer_flushes_total{reason="idle"} 1`,
+		`mvgserve_coalescer_flushes_total{reason="close"} 1`,
+		"mvgserve_batch_size_sum 4",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("metrics missing %q:\n%s", want, buf.String())
+		}
 	}
 
 	// The coalescer is gone: direct predictions now report draining.
@@ -325,20 +370,36 @@ func TestPanicRecovery(t *testing.T) {
 // TestShutdownContextCancelled: a cancelled drain context surfaces as an
 // error instead of hanging.
 func TestShutdownContextCancelled(t *testing.T) {
-	srv, ts := newTestServer(t, core.Config{Window: time.Hour, MaxBatch: 64})
-	// Park one request behind the hour-long window so the drain has work
-	// to do, then cancel immediately.
-	go postJSONQuiet(ts.URL+"/v1/models/demo/predict", map[string]any{"series": testInputs(1, 16)[0]})
-	time.Sleep(20 * time.Millisecond)
+	inj := faults.New()
+	srv, ts := newTestServer(t, core.Config{Window: time.Hour, MaxBatch: 64, Faults: inj})
+	// Hold the one request's batch so the drain has work it cannot
+	// finish, then cancel immediately.
+	release := inj.Block(faults.PointCoalescedBatch)
+	t.Cleanup(release)
+	code := make(chan int, 1)
+	go func() {
+		resp, _ := postJSONQuiet(ts.URL+"/v1/models/demo/predict", map[string]any{"series": testInputs(1, 16)[0]})
+		if resp == nil {
+			code <- 0
+			return
+		}
+		code <- resp.StatusCode
+	}()
+	waitUntil(t, "the batch to be held", func() bool {
+		return inj.Count(faults.PointCoalescedBatch) == 1
+	})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := srv.Engine().Shutdown(ctx)
-	// The flush itself is fast, so this may legitimately win the race and
-	// return nil; both outcomes are correct, hanging is the failure mode.
-	if err != nil && !strings.Contains(err.Error(), "context canceled") {
-		t.Fatalf("unexpected shutdown error: %v", err)
+	if err := srv.Engine().Shutdown(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("shutdown with a held batch = %v, want context canceled", err)
 	}
 	// Complete the drain so the parked request is answered.
-	srv.Engine().Shutdown(context.Background())
+	release()
+	if err := srv.Engine().Shutdown(context.Background()); err != nil {
+		t.Fatalf("second shutdown: %v", err)
+	}
+	if got := <-code; got != http.StatusOK {
+		t.Fatalf("parked request got %d, want 200", got)
+	}
 }
