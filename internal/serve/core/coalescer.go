@@ -16,7 +16,7 @@ var ErrCoalescerClosed = errors.New("serve: coalescer closed")
 
 // DefaultWindow and DefaultMaxBatch are the coalescing defaults used when
 // CoalescerConfig leaves them zero. The window bounds only the wait of a
-// request queued behind a busy model, which usually flushes sooner, when
+// request queued behind a busy model, which often flushes sooner, when
 // the running batch finishes; 64 matches the batch size
 // BenchmarkExtractBatch pins the engine's throughput on.
 const (
