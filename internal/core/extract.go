@@ -10,6 +10,7 @@ import (
 	"mvg/internal/motif"
 	"mvg/internal/parallel"
 	"mvg/internal/timeseries"
+	"mvg/internal/visibility"
 )
 
 // Per-graph feature block widths.
@@ -197,12 +198,14 @@ func (e *Extractor) FeatureNames(n int) []string {
 	return names
 }
 
-// graphBlock appends the feature block of one graph to dst, computing the
-// statistics in sc's reusable buffers.
-func (e *Extractor) graphBlock(dst []float64, g *graph.Graph, sc *Scratch) []float64 {
-	dst = sc.motifs.Count(g).AppendProbabilities(dst)
+// graphBlock appends the feature block of graph g to dst, given its
+// subgraph counts: the motif counts and the assortativity close from sub,
+// and the other statistics read g, in sc's reusable buffers.
+func (e *Extractor) graphBlock(dst []float64, g *graph.Graph, sub graph.Subgraphs, sc *Scratch) []float64 {
+	c := motif.FromSubgraphs(sub)
+	dst = c.AppendProbabilities(dst)
 	if e.opts.Features == AllFeatures {
-		r, _ := g.Assortativity() // undefined → 0, a neutral value
+		r, _ := sub.Assortativity() // undefined → 0, a neutral value
 		maxDeg, minDeg, meanDeg := g.DegreeStats()
 		dst = append(dst,
 			g.Density(),
@@ -214,9 +217,21 @@ func (e *Extractor) graphBlock(dst []float64, g *graph.Graph, sc *Scratch) []flo
 		)
 	}
 	if e.opts.Extended {
-		dst = append(dst, g.DegreeEntropyScratch(&sc.cores), g.Transitivity())
+		dst = append(dst, g.DegreeEntropyScratch(&sc.cores), transitivity(c))
 	}
 	return dst
+}
+
+// transitivity is the global clustering coefficient 3·triangles / wedges
+// (0 without wedges) from counts already in hand: the same two integers
+// graph.Graph.Transitivity divides, since every wedge is an induced 3-path
+// or one of a triangle's three.
+func transitivity(c motif.Counts) float64 {
+	wedges := c.M32 + 3*c.M31
+	if wedges == 0 {
+		return 0
+	}
+	return float64(3*c.M31) / float64(wedges)
 }
 
 // Extract implements Algorithm 1 for a single series: build the configured
@@ -233,28 +248,26 @@ func (e *Extractor) Extract(series []float64) ([]float64, error) {
 // scratch. The output is byte-identical to Extract's regardless of scratch
 // reuse — extraction is a pure function of the series.
 func (e *Extractor) ExtractWith(sc *Scratch, series []float64) ([]float64, error) {
-	return e.extractSeries(sc, series, nil, nil)
+	return e.ExtractWithRings(sc, series, nil)
 }
 
-// ExtractWithGraphs is ExtractWith taking pre-built T0 visibility graphs —
-// the entry point of the streaming engine (mvg.Stream), whose incremental
-// maintainer already holds the window's graphs in CSR form. A non-nil
-// t0vg / t0hvg substitutes for the batch builder at the original scale;
-// deeper pyramid scales are still built by the batch builders in sc. The
-// output is bit-identical to ExtractWith provided the supplied graphs
-// equal the batch builders' output on the preprocessed series, which holds
-// exactly when preprocessing is structure-preserving at the bit level
-// (Options.NoDetrend and Options.NoZNormalize set — see docs/streaming.md
-// for why streaming configs disable window-relative preprocessing).
+// ExtractWithRings is ExtractWith taking maintained visibility graphs for
+// some scales — the entry point of the streaming engine (mvg.Stream).
+// rings[i], when present and non-nil, holds the window of the i-th output
+// scale (T_i under Uniscale and Multiscale): each of its graphs that the
+// configuration uses is snapshotted into CSR instead of built, and when it
+// is a counting ring, its maintained subgraph counts replace the motif
+// enumeration. Every other scale is built from the series as in
+// ExtractWith.
 //
-// Supplied graphs are ignored under ApproxMultiscale (T0 contributes no
-// features there) and must have exactly len(series) vertices otherwise.
-func (e *Extractor) ExtractWithGraphs(sc *Scratch, series []float64, t0vg, t0hvg *graph.Graph) ([]float64, error) {
-	return e.extractSeries(sc, series, t0vg, t0hvg)
-}
-
-// extractSeries is the shared body of ExtractWith and ExtractWithGraphs.
-func (e *Extractor) extractSeries(sc *Scratch, series []float64, t0vg, t0hvg *graph.Graph) ([]float64, error) {
+// The output is bit-identical to ExtractWith provided each ring holds the
+// batch builders' graph of its scale, which holds exactly when
+// preprocessing is structure-preserving at the bit level
+// (Options.NoDetrend and Options.NoZNormalize set) and each ring was fed
+// the scale's values as timeseries.HalveInto computes them — see
+// docs/streaming.md. A ring must have exactly as many vertices as its
+// scale has points.
+func (e *Extractor) ExtractWithRings(sc *Scratch, series []float64, rings []*visibility.Incremental) ([]float64, error) {
 	if sc == nil {
 		sc = NewScratch()
 	}
@@ -269,48 +282,67 @@ func (e *Extractor) extractSeries(sc *Scratch, series []float64, t0vg, t0hvg *gr
 		return nil, fmt.Errorf("%w: n=%d tau=%d mode=%s",
 			ErrSeriesTooShort, len(series), e.tau, e.opts.Scales)
 	}
-	if e.opts.Scales == ApproxMultiscale {
-		t0vg, t0hvg = nil, nil
-	}
 	out := make([]float64, 0, len(scales)*e.graphsPerScale()*e.perGraphWidth())
 	for si, t := range scales {
 		if len(t) < 2 {
 			return nil, fmt.Errorf("%w: scale of %d points", ErrSeriesTooShort, len(t))
 		}
-		vg, hvg := t0vg, t0hvg
-		if si > 0 {
-			vg, hvg = nil, nil
+		var inc *visibility.Incremental
+		if si < len(rings) {
+			inc = rings[si]
 		}
 		if e.opts.Graphs == VGAndHVG || e.opts.Graphs == VGOnly {
-			g := vg
-			if g == nil {
-				edges, err := sc.vis.VGEdges(t)
-				if err != nil {
-					return nil, err
-				}
-				sc.g.BuildUnchecked(len(t), edges)
-				g = &sc.g
-			} else if g.N() != len(t) {
-				return nil, fmt.Errorf("core: supplied T0 VG has %d vertices, scale has %d", g.N(), len(t))
+			var ring *graph.RingGraph
+			if inc != nil {
+				ring = inc.VG()
 			}
-			out = e.graphBlock(out, g, sc)
+			if out, err = e.scaleBlock(out, sc, t, ring, false); err != nil {
+				return nil, err
+			}
 		}
 		if e.opts.Graphs == VGAndHVG || e.opts.Graphs == HVGOnly {
-			g := hvg
-			if g == nil {
-				edges, err := sc.vis.HVGEdges(t)
-				if err != nil {
-					return nil, err
-				}
-				sc.g.BuildUnchecked(len(t), edges)
-				g = &sc.g
-			} else if g.N() != len(t) {
-				return nil, fmt.Errorf("core: supplied T0 HVG has %d vertices, scale has %d", g.N(), len(t))
+			var ring *graph.RingGraph
+			if inc != nil {
+				ring = inc.HVG()
 			}
-			out = e.graphBlock(out, g, sc)
+			if out, err = e.scaleBlock(out, sc, t, ring, true); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return out, nil
+}
+
+// scaleBlock appends the feature block of scale t's VG (or HVG, when hvg
+// is set): snapshotted from ring when ring is non-nil, else built from t.
+// A counting ring supplies its maintained subgraph counts; any other
+// graph has them enumerated.
+func (e *Extractor) scaleBlock(dst []float64, sc *Scratch, t []float64, ring *graph.RingGraph, hvg bool) ([]float64, error) {
+	var sub graph.Subgraphs
+	counted := false
+	if ring == nil {
+		var edges [][2]int
+		var err error
+		if hvg {
+			edges, err = sc.vis.HVGEdges(t)
+		} else {
+			edges, err = sc.vis.VGEdges(t)
+		}
+		if err != nil {
+			return nil, err
+		}
+		sc.g.BuildUnchecked(len(t), edges)
+	} else {
+		if ring.Len() != len(t) {
+			return nil, fmt.Errorf("core: supplied ring graph has %d vertices, scale has %d", ring.Len(), len(t))
+		}
+		ring.ToCSR(&sc.g)
+		sub, counted = ring.Subgraphs()
+	}
+	if !counted {
+		sub = sc.motifs.Subgraphs(&sc.g)
+	}
+	return e.graphBlock(dst, &sc.g, sub, sc), nil
 }
 
 // ExtractDataset extracts features for every series in parallel across
@@ -436,21 +468,12 @@ func (e *Extractor) extractSeriesOnPool(ctx context.Context, pool *parallel.Pool
 		if len(t) < 2 {
 			return fmt.Errorf("%w: scale of %d points", ErrSeriesTooShort, len(t))
 		}
-		var (
-			edges [][2]int
-			err   error
-		)
-		if buildVG && job%gps == 0 {
-			edges, err = wsc.vis.VGEdges(t)
-		} else {
-			edges, err = wsc.vis.HVGEdges(t)
-		}
+		off := job * width
+		blk, err := e.scaleBlock(out[off:off:off+width], wsc, t, nil, !buildVG || job%gps == 1)
 		if err != nil {
 			return err
 		}
-		wsc.g.BuildUnchecked(len(t), edges)
-		off := job * width
-		if blk := e.graphBlock(out[off:off:off+width], &wsc.g, wsc); len(blk) != width {
+		if len(blk) != width {
 			return fmt.Errorf("core: internal: graph block width %d, want %d", len(blk), width)
 		}
 		return nil

@@ -175,3 +175,46 @@ func TestRingGraphSnapshotAllocFree(t *testing.T) {
 		t.Fatalf("warm slide+snapshot allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// TestRingGraphIDWraparound starts a counting ring just below 2³², where
+// the ids its rows hold wrap around, and requires its snapshots and
+// subgraph counts to match a ring fed the same window-relative edges from
+// id 0.
+func TestRingGraphIDWraparound(t *testing.T) {
+	high := uint64(1<<32 - 40)
+	if uint64(int(high)) != high {
+		t.Skip("int cannot hold ids past 2³²")
+	}
+	const capacity = 16
+	wrapped, plain := NewCountingRingGraph(capacity), NewCountingRingGraph(capacity)
+	wrapped.start = int(high)
+	rng := rand.New(rand.NewSource(11))
+	var a, b Graph
+	var nbrs, rel []int
+	for step := 0; step < 200; step++ {
+		if wrapped.Len() == capacity || (wrapped.Len() > 0 && rng.Intn(4) == 0) {
+			wrapped.Evict()
+			plain.Evict()
+		}
+		nbrs, rel = nbrs[:0], rel[:0]
+		for k := 0; k < wrapped.Len(); k++ {
+			if rng.Intn(3) == 0 {
+				nbrs = append(nbrs, wrapped.Start()+k)
+				rel = append(rel, plain.Start()+k)
+			}
+		}
+		wrapped.Append(nbrs)
+		plain.Append(rel)
+		wrapped.ToCSR(&a)
+		plain.ToCSR(&b)
+		identicalCSR(t, &a, &b)
+		ws, _ := wrapped.Subgraphs()
+		ps, _ := plain.Subgraphs()
+		if ws != ps {
+			t.Fatalf("step %d: wrapped ring counts %+v, want %+v", step, ws, ps)
+		}
+	}
+	if uint64(wrapped.Start()) <= 1<<32 {
+		t.Fatal("the window never crossed 2³²")
+	}
+}

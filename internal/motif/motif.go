@@ -171,18 +171,18 @@ func Count(g *graph.Graph) Counts {
 	return ctr.Count(g)
 }
 
-// Count computes the motif counts of g in the counter's reusable buffers.
+// Count computes the motif counts of g in the counter's reusable buffers:
+// FromSubgraphs of Counter.Subgraphs.
 func (ctr *Counter) Count(g *graph.Graph) Counts {
-	n64 := int64(g.N())
-	m64 := int64(g.M())
-	var c Counts
+	return FromSubgraphs(ctr.Subgraphs(g))
+}
 
-	// ---- Size 2 ----
-	c.M21 = m64
-	c.M22 = choose2(n64) - m64
-
+// Subgraphs enumerates the subgraph totals of g that FromSubgraphs closes
+// into motif counts, in the counter's reusable buffers.
+func (ctr *Counter) Subgraphs(g *graph.Graph) graph.Subgraphs {
+	s := graph.Subgraphs{N: int64(g.N()), M: int64(g.M())}
 	if g.N() == 0 {
-		return c
+		return s
 	}
 
 	ctr.deg = g.DegreesInto(ctr.deg)
@@ -326,6 +326,32 @@ func (ctr *Counter) Count(g *graph.Graph) Counts {
 		clear(codeg[lo:a])
 	}
 
+	s.Wedges = wedges
+	s.Claws = clawNon
+	s.Triangles = tri
+	s.Diamonds = triPairsSum
+	s.Cliques4 = k4
+	s.Paths4 = p4Non
+	s.Paws = pawNon
+	s.Cycles4 = c4Non
+	return s
+}
+
+// FromSubgraphs closes subgraph totals into the induced counts of all 11
+// motifs of size ≤ 4: induced counts follow from the standard
+// inclusion–exclusion identities between non-induced and induced subgraph
+// counts, and the disconnected motifs from complement identities against
+// the C(n,3)/C(n,4) totals. It is the one copy of those identities, shared
+// by Counter.Count and the counting ring graphs of mvg.Stream.
+func FromSubgraphs(s graph.Subgraphs) Counts {
+	n64, m64 := s.N, s.M
+	tri, k4, wedges := s.Triangles, s.Cliques4, s.Wedges
+	var c Counts
+
+	// ---- Size 2 ----
+	c.M21 = m64
+	c.M22 = choose2(n64) - m64
+
 	// ---- Size 3 induced ----
 	c.M31 = tri
 	c.M32 = wedges - 3*tri
@@ -333,11 +359,11 @@ func (ctr *Counter) Count(g *graph.Graph) Counts {
 	c.M34 = choose3(n64) - c.M31 - c.M32 - c.M33
 
 	// ---- Size 4 connected induced ----
-	diamond := triPairsSum - 6*k4
-	cycle4 := c4Non - diamond - 3*k4
-	paw := pawNon - 4*diamond - 12*k4
-	claw := clawNon - paw - 2*diamond - 4*k4
-	path4 := p4Non - 2*paw - 4*cycle4 - 6*diamond - 12*k4
+	diamond := s.Diamonds - 6*k4
+	cycle4 := s.Cycles4 - diamond - 3*k4
+	paw := s.Paws - 4*diamond - 12*k4
+	claw := s.Claws - paw - 2*diamond - 4*k4
+	path4 := s.Paths4 - 2*paw - 4*cycle4 - 6*diamond - 12*k4
 
 	c.M41 = k4
 	c.M42 = diamond

@@ -37,8 +37,9 @@ var ErrWindowLen = errors.New("visibility: window needs at least 2 points")
 
 // Incremental maintains the natural and/or horizontal visibility graph of
 // a sliding window over a sample stream. Push appends one sample, evicting
-// the oldest automatically once the window is full; Snapshot* materialize
-// the current window's graphs as CSR for the batch feature kernels.
+// the oldest automatically once the window is full; VG and HVG expose
+// the current window's ring graphs, which snapshot into CSR for the batch
+// feature kernels.
 //
 // The maintained edge sets are identical to what the batch builders
 // (Builder.VGEdges / Builder.HVGEdges) produce on the materialized window
@@ -64,8 +65,10 @@ type Incremental struct {
 // NewIncremental returns a maintainer for windows of windowLen samples.
 // maintainVG / maintainHVG select which graphs are kept; with both false
 // the Incremental degrades to a plain sample ring (the fallback mode of
-// mvg.Stream, which then rebuilds graphs per hop).
-func NewIncremental(windowLen int, maintainVG, maintainHVG bool) (*Incremental, error) {
+// mvg.Stream, which then rebuilds graphs per hop). With counting set, the
+// kept graphs are counting ring graphs, whose subgraph counts stay
+// current as the window slides (graph.NewCountingRingGraph).
+func NewIncremental(windowLen int, maintainVG, maintainHVG, counting bool) (*Incremental, error) {
 	if windowLen < 2 {
 		return nil, fmt.Errorf("%w: windowLen=%d", ErrWindowLen, windowLen)
 	}
@@ -73,11 +76,15 @@ func NewIncremental(windowLen int, maintainVG, maintainHVG bool) (*Incremental, 
 		capacity: windowLen,
 		values:   make([]float64, windowLen),
 	}
+	ring := graph.NewRingGraph
+	if counting {
+		ring = graph.NewCountingRingGraph
+	}
 	if maintainVG {
-		inc.vg = graph.NewRingGraph(windowLen)
+		inc.vg = ring(windowLen)
 	}
 	if maintainHVG {
-		inc.hvg = graph.NewRingGraph(windowLen)
+		inc.hvg = ring(windowLen)
 	}
 	return inc, nil
 }
@@ -210,14 +217,14 @@ func (inc *Incremental) WindowInto(dst []float64) []float64 {
 	return dst
 }
 
-// SnapshotVG materializes the window's natural visibility graph into g
-// (vertices renumbered to 0..Len-1 in window order). It panics when the
-// Incremental was built without VG maintenance.
-func (inc *Incremental) SnapshotVG(g *graph.Graph) { inc.vg.ToCSR(g) }
+// VG returns the window's natural visibility graph, nil when the
+// Incremental was built without VG maintenance. RingGraph.ToCSR
+// snapshots it with vertices renumbered to 0..Len-1 in window order.
+func (inc *Incremental) VG() *graph.RingGraph { return inc.vg }
 
-// SnapshotHVG materializes the window's horizontal visibility graph into g.
-// It panics when the Incremental was built without HVG maintenance.
-func (inc *Incremental) SnapshotHVG(g *graph.Graph) { inc.hvg.ToCSR(g) }
+// HVG returns the window's horizontal visibility graph, nil when the
+// Incremental was built without HVG maintenance.
+func (inc *Incremental) HVG() *graph.RingGraph { return inc.hvg }
 
 func reverse(s []int) {
 	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {

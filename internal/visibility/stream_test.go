@@ -30,7 +30,7 @@ func batchWindowGraphs(t *testing.T, b *Builder, window []float64) (vg, hvg *gra
 // against batch rebuilds of the materialized window after every push.
 func slideAndCompare(t *testing.T, name string, series []float64, windowLen int) {
 	t.Helper()
-	inc, err := NewIncremental(windowLen, true, true)
+	inc, err := NewIncremental(windowLen, true, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +46,8 @@ func slideAndCompare(t *testing.T, name string, series []float64, windowLen int)
 		}
 		window = inc.WindowInto(window)
 		wantVG, wantHVG := batchWindowGraphs(t, &b, window)
-		inc.SnapshotVG(&vgSnap)
-		inc.SnapshotHVG(&hvgSnap)
+		inc.VG().ToCSR(&vgSnap)
+		inc.HVG().ToCSR(&hvgSnap)
 		identicalGraphs(t, name+"/vg", &vgSnap, wantVG)
 		identicalGraphs(t, name+"/hvg", &hvgSnap, wantHVG)
 	}
@@ -97,7 +97,7 @@ func TestIncrementalLongStream(t *testing.T) {
 }
 
 func TestIncrementalSampleRingOnly(t *testing.T) {
-	inc, err := NewIncremental(4, false, false)
+	inc, err := NewIncremental(4, false, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestIncrementalSampleRingOnly(t *testing.T) {
 }
 
 func TestIncrementalRejectsNonFinite(t *testing.T) {
-	inc, err := NewIncremental(8, true, true)
+	inc, err := NewIncremental(8, true, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,18 +142,18 @@ func TestIncrementalRejectsNonFinite(t *testing.T) {
 	var b Builder
 	wantVG, _ := batchWindowGraphs(t, &b, slide)
 	var snap graph.Graph
-	inc.SnapshotVG(&snap)
+	inc.VG().ToCSR(&snap)
 	identicalGraphs(t, "post-reject/vg", &snap, wantVG)
 }
 
 func TestIncrementalWindowLenValidation(t *testing.T) {
-	if _, err := NewIncremental(1, true, true); !errors.Is(err, ErrWindowLen) {
+	if _, err := NewIncremental(1, true, true, false); !errors.Is(err, ErrWindowLen) {
 		t.Fatalf("NewIncremental(1) err = %v, want ErrWindowLen", err)
 	}
 }
 
 func TestIncrementalReset(t *testing.T) {
-	inc, err := NewIncremental(6, true, true)
+	inc, err := NewIncremental(6, true, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestIncrementalReset(t *testing.T) {
 // TestIncrementalPushAllocFree pins the hot-path contract: warm pushes
 // allocate nothing.
 func TestIncrementalPushAllocFree(t *testing.T) {
-	inc, err := NewIncremental(64, true, true)
+	inc, err := NewIncremental(64, true, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"mvg/internal/alert"
 	"mvg/internal/core"
-	"mvg/internal/graph"
 	"mvg/internal/ml"
 	"mvg/internal/visibility"
 )
@@ -33,6 +32,16 @@ import (
 // Otherwise the stream transparently falls back to re-extracting the
 // materialized window per hop; Incremental reports which mode is active.
 //
+// When the hop is small against the window (windowLen ≥ maintainRatio ×
+// hop), the incremental stream also keeps the graphs' subgraph counts
+// current on every push, so a hop closes them instead of recounting the
+// window, and it keeps a ring for every pyramid level T_k (k ≥ 1) that
+// the configuration uses and whose blocks of 2^k samples the hop aligns
+// with (2^k dividing both windowLen and hop). Features uses level k's
+// ring whenever the window starts on a block boundary (after a multiple
+// of 2^k pushes, which every hop is) and builds the level from the
+// window otherwise.
+//
 // # Determinism contract
 //
 // After every push, Features is bit-identical to Pipeline.Extract on the
@@ -49,16 +58,23 @@ type Stream struct {
 	hop       int
 
 	incremental bool
-	inc         *visibility.Incremental
+	pyr         *visibility.Pyramid // the window, and its maintained levels
 	pushed      int
 
-	window          []float64 // window materialization buffer
-	vgSnap, hvgSnap graph.Graph
-	sc              *core.Scratch
-	rowIn           [][]float64 // single-row buffer for Predict
+	window []float64 // window materialization buffer
+	sc     *core.Scratch
+	rowIn  [][]float64 // single-row buffer for Predict
 
 	alerts *alert.Evaluator // nil until SetAlerts; see alerting.go
 }
+
+// maintainRatio is the smallest windowLen/hop at which an incremental
+// stream keeps its graphs' subgraph counts current per push rather than
+// recounting the window per hop. Maintenance costs a few vertex updates
+// per sample, a recount the whole window once per hop; the measured
+// crossover and the margin this constant keeps from it are in
+// docs/perf.md.
+const maintainRatio = 16
 
 // NewStream returns a sliding-window extraction stream over this
 // pipeline's configuration: windows of windowLen samples, emitting one
@@ -84,7 +100,12 @@ func (p *Pipeline) NewStream(windowLen, hop int) (*Stream, error) {
 	incremental := cfg.NoDetrend && cfg.NoZNormalize && cfg.Scale != "amvg"
 	maintainVG := incremental && cfg.Graphs != "hvg"
 	maintainHVG := incremental && cfg.Graphs != "vg"
-	inc, err := visibility.NewIncremental(windowLen, maintainVG, maintainHVG)
+	maintain := incremental && windowLen >= maintainRatio*hop
+	levels := 0
+	if maintain {
+		levels = visibility.AlignedLevels(windowLen, hop, p.extractor.NumScales(windowLen)-1)
+	}
+	pyr, err := visibility.NewPyramid(windowLen, levels, maintainVG, maintainHVG, maintain)
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +114,7 @@ func (p *Pipeline) NewStream(windowLen, hop int) (*Stream, error) {
 		windowLen:   windowLen,
 		hop:         hop,
 		incremental: incremental,
-		inc:         inc,
+		pyr:         pyr,
 		sc:          core.NewScratch(),
 	}, nil
 }
@@ -134,7 +155,7 @@ func (s *Stream) Ready() bool { return s.pushed >= s.windowLen }
 // Configured alert triggers keep their rules but return to StateOK with
 // cleared debounce counters (and re-latch any auto baselines).
 func (s *Stream) Reset() {
-	s.inc.Reset()
+	s.pyr.Reset()
 	s.pushed = 0
 	if s.alerts != nil {
 		s.alerts.Reset()
@@ -150,7 +171,7 @@ func (s *Stream) Push(x float64) (hop bool, err error) {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
 		return false, fmt.Errorf("%w: %v at sample %d", ErrNonFiniteSample, x, s.pushed)
 	}
-	if err := s.inc.Push(x); err != nil {
+	if err := s.pyr.Push(x); err != nil {
 		return false, err
 	}
 	s.pushed++
@@ -182,20 +203,10 @@ func (s *Stream) Features() ([]float64, error) {
 	if !s.Ready() {
 		return nil, fmt.Errorf("%w: %d of %d samples", ErrStreamNotReady, s.pushed, s.windowLen)
 	}
-	s.window = s.inc.WindowInto(s.window)
-	if !s.incremental {
-		return s.pipe.extractor.ExtractWith(s.sc, s.window)
-	}
-	var vg, hvg *graph.Graph
-	if s.pipe.cfg.Graphs != "hvg" {
-		s.inc.SnapshotVG(&s.vgSnap)
-		vg = &s.vgSnap
-	}
-	if s.pipe.cfg.Graphs != "vg" {
-		s.inc.SnapshotHVG(&s.hvgSnap)
-		hvg = &s.hvgSnap
-	}
-	return s.pipe.extractor.ExtractWithGraphs(s.sc, s.window, vg, hvg)
+	// A fallback stream's pyramid keeps no graphs, so every scale is
+	// built from the window.
+	s.window = s.pyr.Window().WindowInto(s.window)
+	return s.pipe.extractor.ExtractWithRings(s.sc, s.window, s.pyr.Aligned())
 }
 
 // Predict classifies the current window on the stream's model, returning

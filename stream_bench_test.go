@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mvg/internal/core"
 	"mvg/internal/graph"
 	"mvg/internal/visibility"
 )
@@ -92,11 +93,79 @@ func streamBenchCfg() Config {
 }
 
 // BenchmarkStreamHop measures the full per-hop serving cost — Push plus
-// Features (CSR snapshot + feature kernels) — at hop=8, the
-// latency-versus-cost tradeoff documented in docs/streaming.md.
+// Features — at hop=8, the latency-versus-cost tradeoff documented in
+// docs/streaming.md. At this geometry the stream keeps its subgraph
+// counts current per push, so a hop snapshots the T0 rings for the
+// remaining statistics and closes the counts.
 func BenchmarkStreamHop(b *testing.B) {
+	benchStreamHop(b, streamBenchCfg(), 512, 8)
+}
+
+// BenchmarkStreamHopMultiscale is BenchmarkStreamHop at the stream_hop
+// benchmark workload's configuration: the default multiscale pyramid,
+// where T1–T3 come from level rings and only T4 and T5 are built per hop.
+func BenchmarkStreamHopMultiscale(b *testing.B) {
+	benchStreamHop(b, Config{NoDetrend: true, NoZNormalize: true}, 512, 8)
+}
+
+// BenchmarkStreamHopLargeHop is BenchmarkStreamHop on the recount side of
+// the maintain-or-recount rule: at hop=128 the stream keeps only the T0
+// ring graphs and recounts the snapshot per hop.
+func BenchmarkStreamHopLargeHop(b *testing.B) {
+	benchStreamHop(b, streamBenchCfg(), 512, 128)
+}
+
+// BenchmarkStreamHopRecompute is the per-hop cost without a stream: the
+// same samples and geometry as BenchmarkStreamHop, with every hop
+// materializing the window and running batch extraction on it, scratch
+// reused. The CI ratio gate holds BenchmarkStreamHop against it.
+func BenchmarkStreamHopRecompute(b *testing.B) {
 	const windowLen, hop = 512, 8
 	p, err := NewPipeline(streamBenchCfg())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	samples := streamBenchSamples()
+	ring := make([]float64, windowLen)
+	window := make([]float64, windowLen)
+	sc := core.NewScratch()
+	n := 2 * windowLen
+	for i := 0; i < n; i++ {
+		ring[i%windowLen] = samples[i%len(samples)]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < hop; k++ {
+			ring[n%windowLen] = samples[n%len(samples)]
+			n++
+		}
+		for k := 0; k < windowLen; k++ {
+			window[k] = ring[(n+k)%windowLen]
+		}
+		if _, err := p.extractor.ExtractWith(sc, window); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// streamBenchSamples is the random walk the hop benchmarks stream.
+func streamBenchSamples() []float64 {
+	rng := rand.New(rand.NewSource(2))
+	samples := make([]float64, 1<<14)
+	level := 0.0
+	for i := range samples {
+		level += rng.NormFloat64()
+		samples[i] = level
+	}
+	return samples
+}
+
+// benchStreamHop times one hop per iteration — hop pushes, then Features —
+// on a warm stream of the given configuration and geometry.
+func benchStreamHop(b *testing.B, cfg Config, windowLen, hop int) {
+	p, err := NewPipeline(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -105,13 +174,7 @@ func BenchmarkStreamHop(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(2))
-	samples := make([]float64, 1<<14)
-	level := 0.0
-	for i := range samples {
-		level += rng.NormFloat64()
-		samples[i] = level
-	}
+	samples := streamBenchSamples()
 	for i := 0; i < 2*windowLen; i++ {
 		if _, err := s.Push(samples[i%len(samples)]); err != nil {
 			b.Fatal(err)
