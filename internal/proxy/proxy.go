@@ -233,18 +233,10 @@ func jsonRouteKey(path string) (key string, retryable, stream bool) {
 // surface so clients need one retry policy, not two.
 func (p *Proxy) shedJSON(w http.ResponseWriter, reason string) {
 	p.metrics.Shed()
-	w.Header().Set("Retry-After", retryAfterSeconds(p.cfg.RetryAfter))
+	w.Header().Set("Retry-After", core.RetryAfterSeconds(p.cfg.RetryAfter))
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusTooManyRequests)
 	json.NewEncoder(w).Encode(map[string]string{"error": reason})
-}
-
-func retryAfterSeconds(d time.Duration) string {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
 }
 
 func (p *Proxy) serveJSON(w http.ResponseWriter, r *http.Request) {
@@ -352,7 +344,7 @@ func (p *Proxy) shedGRPC(w http.ResponseWriter, reason string) {
 	p.metrics.Shed()
 	h := w.Header()
 	h.Set("Content-Type", "application/grpc+proto")
-	h.Set("Retry-After", retryAfterSeconds(p.cfg.RetryAfter))
+	h.Set("Retry-After", core.RetryAfterSeconds(p.cfg.RetryAfter))
 	h.Set("Grpc-Status", strconv.Itoa(int(grpcx.ResourceExhausted)))
 	h.Set("Grpc-Message", reason)
 	w.WriteHeader(http.StatusOK)

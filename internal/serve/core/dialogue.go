@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -216,24 +218,29 @@ type Samples struct {
 }
 
 // DialogueIO is the transport half of a running dialogue. Samples is the
-// inbound channel, closed at the client's clean end of stream; Emit and
-// EmitDone deliver events (an Emit error ends the dialogue silently —
-// the transport already knows its own write failed); EmitError delivers
-// the terminal failure using the transport's error convention.
+// inbound channel, closed at the client's clean end of stream. Emit and
+// EmitDone deliver events and return the raw write error; EmitError
+// delivers the terminal failure using the transport's error convention.
+// SetWriteDeadline bounds the writes that follow it. The transport only
+// frames: RunDialogue decides what a write error means.
 type DialogueIO interface {
 	Samples() <-chan Samples
 	Emit(ev StreamEvent) error
 	EmitDone(done StreamDone) error
 	EmitError(err error)
+	SetWriteDeadline(t time.Time) error
 }
 
 // RunDialogue pumps io's samples through d until end of stream, a
-// terminal error, a graceful drain, or the idle deadline — the one
-// dialogue loop both codecs share, so eviction policy and drain
-// semantics cannot differ between transports. It closes d before
+// terminal error, a graceful drain, or an eviction — the one dialogue
+// loop both codecs share, so eviction policy and drain semantics cannot
+// differ between transports. Every write gets a fresh write deadline: a
+// client that reads, however slowly, keeps the dialogue alive; one that
+// stops reading lets it expire once the buffers fill. It closes d before
 // returning.
 func (e *Engine) RunDialogue(ctx context.Context, d *Dialogue, io DialogueIO) {
 	defer d.Close()
+	out := dialogueWriter{e: e, io: io}
 
 	var idleTimer *time.Timer
 	var idleC <-chan time.Time
@@ -246,25 +253,25 @@ func (e *Engine) RunDialogue(ctx context.Context, d *Dialogue, io DialogueIO) {
 	for {
 		select {
 		case <-ctx.Done():
-			io.EmitError(ctx.Err())
+			out.fail(ctx.Err())
 			return
 		case <-d.Done():
 			// Graceful drain: close the dialogue cleanly so the client
 			// knows everything sent so far was processed.
-			_ = io.EmitDone(d.DoneEvent(true))
+			out.done(d.DoneEvent(true))
 			return
 		case <-idleC:
 			e.metrics.StreamEvicted(EvictIdle)
-			io.EmitError(Errorf(StatusEvicted,
+			out.fail(Errorf(StatusEvicted,
 				"stream evicted: no sample received within the %v idle deadline", e.streamIdle))
 			return
 		case chunk, ok := <-io.Samples():
 			if !ok {
-				_ = io.EmitDone(d.DoneEvent(false))
+				out.done(d.DoneEvent(false))
 				return
 			}
 			if chunk.Err != nil {
-				io.EmitError(chunk.Err)
+				out.fail(chunk.Err)
 				return
 			}
 			if idleTimer != nil {
@@ -279,15 +286,60 @@ func (e *Engine) RunDialogue(ctx context.Context, d *Dialogue, io DialogueIO) {
 			for _, x := range chunk.Values {
 				events, err := d.Push(ctx, x)
 				if err != nil {
-					io.EmitError(err)
+					out.fail(err)
 					return
 				}
 				for _, ev := range events {
-					if io.Emit(ev) != nil {
+					if !out.event(ev) {
 						return
 					}
 				}
 			}
 		}
 	}
+}
+
+// dialogueWriter is RunDialogue's output side: every write under a fresh
+// deadline, and one policy for a write that fails.
+type dialogueWriter struct {
+	e  *Engine
+	io DialogueIO
+}
+
+func (w dialogueWriter) renew() {
+	if w.e.streamWrite > 0 {
+		_ = w.io.SetWriteDeadline(time.Now().Add(w.e.streamWrite))
+	}
+}
+
+// event writes one event and reports whether the dialogue may go on.
+func (w dialogueWriter) event(ev StreamEvent) bool {
+	w.renew()
+	return w.settle(w.io.Emit(ev))
+}
+
+func (w dialogueWriter) done(done StreamDone) {
+	w.renew()
+	w.settle(w.io.EmitDone(done))
+}
+
+func (w dialogueWriter) fail(err error) {
+	w.renew()
+	w.io.EmitError(err)
+}
+
+// settle reports whether a write succeeded. One that died on the deadline
+// is a client that stopped reading: the stream is evicted, counted under
+// slow_reader, and told so. Any other write error is the client
+// disconnecting, which needs no farewell.
+func (w dialogueWriter) settle(err error) bool {
+	if err == nil {
+		return true
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		w.e.metrics.StreamEvicted(EvictSlowReader)
+		w.fail(Errorf(StatusEvicted,
+			"stream evicted: slow reader (no progress within %v write deadline)", w.e.streamWrite))
+	}
+	return false
 }

@@ -79,10 +79,12 @@ const (
 
 // Engine is the transport-agnostic serving engine: it resolves models
 // from a registry, funnels single-series predictions through one request
-// coalescer per model, enforces admission control and stream quotas, and
-// owns its metrics. The HTTP and gRPC codecs are both thin shells
-// over one shared Engine, so a prediction's bytes cannot depend on which
-// transport asked.
+// coalescer per model, runs every predict request in one admitted scope
+// (deadline, admission, timeout mapping), validates and answers it
+// (Predict), runs stream dialogues under write deadlines with slow-reader
+// eviction, enforces stream quotas, and owns its metrics. The HTTP and
+// gRPC codecs only decode, call the engine and encode, so a prediction's
+// bytes cannot depend on which transport asked.
 type Engine struct {
 	registry  *Registry
 	metrics   *Metrics
@@ -164,10 +166,6 @@ func (e *Engine) Logger() *log.Logger { return e.logger }
 
 // RetryAfter returns the configured retry hint for shed/timeout responses.
 func (e *Engine) RetryAfter() time.Duration { return e.retryAfter }
-
-// StreamWriteTimeout returns the per-write deadline codecs must apply to
-// stream responses (<= 0 disables write deadlines).
-func (e *Engine) StreamWriteTimeout() time.Duration { return e.streamWrite }
 
 // DrainStreams asks every live stream dialogue to finish with a done
 // event and rejects new streams with 503/UNAVAILABLE. mvgserve registers
@@ -284,43 +282,32 @@ func (e *Engine) coalescer(name string) *Coalescer {
 
 // ---- admission ----
 
-// WithRequestDeadline applies the server-side request timeout to ctx,
-// with errRequestDeadline as the cancellation cause so RequestError can
-// tell the server's deadline from the client's. A zero timeout returns
-// ctx unchanged.
-func (e *Engine) WithRequestDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
-	if e.requestTimeout <= 0 {
-		return ctx, func() {}
+// Admitted runs fn as one predict request, the scope both codecs run
+// their predict handlers in. ctx gains the request timeout, whose cause
+// errRequestDeadline tells the server's deadline from the client's; the
+// request then claims an admission slot, queueing until that deadline. A
+// shed is counted and returned as a typed 429 with the retry hint, and fn
+// does not run. Otherwise fn runs on the deadline context and the slot is
+// released by defer, so a panicking fn frees it too. A context error
+// caused by the engine's deadline, from the queue or from fn, becomes a
+// counted 503 with the retry hint; every other error passes through.
+func (e *Engine) Admitted(ctx context.Context, fn func(context.Context) error) error {
+	if e.requestTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeoutCause(ctx, e.requestTimeout, errRequestDeadline)
+		defer cancel()
 	}
-	return context.WithTimeoutCause(ctx, e.requestTimeout, errRequestDeadline)
-}
-
-// Admit claims a predict admission slot, queueing (bounded by ctx) when
-// the engine is busy. A shed is counted and returned as a typed 429 /
-// RESOURCE_EXHAUSTED error carrying the retry hint; a context error
-// while queued passes through for RequestError to classify. The caller
-// must invoke release exactly once after the work completes.
-func (e *Engine) Admit(ctx context.Context) (release func(), err error) {
-	release, err = e.limiter.acquire(ctx)
-	if err == nil {
-		return release, nil
-	}
+	release, err := e.limiter.acquire(ctx)
 	if errors.Is(err, ErrShed) {
 		e.metrics.Shed()
 		serr := Errorf(StatusShed, "%v: try again in %v", ErrShed, e.retryAfter)
 		serr.RetryAfter = e.retryAfter
-		return nil, serr
+		return serr
 	}
-	return nil, err
-}
-
-// RequestError resolves a predict-path failure against the request
-// context: a context error whose cause is the engine's own request
-// deadline becomes a typed 503/UNAVAILABLE with a Retry-After hint (the
-// server failed to serve in time — the client did nothing wrong and
-// should retry) and bumps the timeout counter. Everything else passes
-// through for StatusOf to classify.
-func (e *Engine) RequestError(ctx context.Context, err error) error {
+	if err == nil {
+		defer release()
+		err = fn(ctx)
+	}
 	if (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) &&
 		errors.Is(context.Cause(ctx), errRequestDeadline) {
 		e.metrics.RequestTimeout()
@@ -331,7 +318,7 @@ func (e *Engine) RequestError(ctx context.Context, err error) error {
 	return err
 }
 
-// ---- typed predict operations ----
+// ---- predict ----
 
 // Model resolves a registry name, or returns a typed not-found error.
 func (e *Engine) Model(name string) (*mvg.Model, error) {
@@ -342,25 +329,31 @@ func (e *Engine) Model(name string) (*mvg.Model, error) {
 	return m, nil
 }
 
-// ValidateSeries checks every series' length against the model, returning
-// a typed bad-request error naming the first offender. Both codecs call
-// it before predicting so the error text is transport-independent.
-func ValidateSeries(m *mvg.Model, series [][]float64) error {
+// Predict answers one predict request against m (resolved by Model for
+// name) with one probability row per series. An empty batch or a series
+// of the wrong length is a typed bad request naming the first offender.
+// A single request (series holds one series) goes through the model's
+// coalescer, which re-batches deterministically, and reports coalesced;
+// a draining engine answers ErrCoalescerClosed. A batch runs directly on
+// the model. Argmax of each row is the class Model.PredictBatch returns.
+func (e *Engine) Predict(ctx context.Context, name string, m *mvg.Model, series [][]float64, single bool) (proba [][]float64, coalesced bool, err error) {
+	if len(series) == 0 {
+		return nil, false, Errorf(StatusBadRequest, `"batch" must contain at least one series`)
+	}
 	want := m.SeriesLen()
 	for i, s := range series {
 		if len(s) != want {
-			return Errorf(StatusBadRequest,
+			return nil, false, Errorf(StatusBadRequest,
 				"series %d has %d points, model expects %d", i, len(s), want)
 		}
 	}
-	return nil
-}
-
-// PredictSingle routes one series through the model's coalescer, falling
-// back to a typed 503 only when the engine is draining. The returned
-// proba row is bit-identical across transports (the coalescer re-batches
-// deterministically); coalesced reports that the coalescer served it.
-func (e *Engine) PredictSingle(ctx context.Context, name string, series []float64) (proba []float64, coalesced bool, err error) {
+	if !single {
+		if err := e.faults.Fire(ctx, faults.PointBatchPredict); err != nil {
+			return nil, false, err
+		}
+		proba, err = m.PredictProba(ctx, series)
+		return proba, false, err
+	}
 	if err := e.faults.Fire(ctx, faults.PointPredict); err != nil {
 		return nil, false, err
 	}
@@ -368,29 +361,11 @@ func (e *Engine) PredictSingle(ctx context.Context, name string, series []float6
 	if c == nil {
 		return nil, false, ErrCoalescerClosed
 	}
-	proba, err = c.Predict(ctx, series)
+	row, err := c.Predict(ctx, series[0])
 	if err != nil {
 		return nil, false, err
 	}
-	return proba, true, nil
-}
-
-// PredictBatch predicts classes for a batch directly on the model (batch
-// callers already amortise extraction; they bypass the coalescer).
-func (e *Engine) PredictBatch(ctx context.Context, m *mvg.Model, series [][]float64) ([]int, error) {
-	if err := e.faults.Fire(ctx, faults.PointBatchPredict); err != nil {
-		return nil, err
-	}
-	return m.PredictBatch(ctx, series)
-}
-
-// PredictProbaBatch predicts probability rows for a batch directly on the
-// model.
-func (e *Engine) PredictProbaBatch(ctx context.Context, m *mvg.Model, series [][]float64) ([][]float64, error) {
-	if err := e.faults.Fire(ctx, faults.PointBatchPredict); err != nil {
-		return nil, err
-	}
-	return m.PredictProba(ctx, series)
+	return [][]float64{row}, true, nil
 }
 
 // Reload re-reads a model's backing file, mapping failures onto the
@@ -407,11 +382,9 @@ func (e *Engine) Reload(name string) error {
 }
 
 // Argmax returns the index of the largest probability — the same
-// tie-breaking (first maximum wins) as ml.Predict, so coalesced single
-// predictions agree with Model.PredictBatch.
-func Argmax(proba []float64) int {
-	return ml.Predict([][]float64{proba})[0]
-}
+// tie-breaking (first maximum wins) as ml.Predict, so class responses
+// agree with Model.PredictBatch.
+func Argmax(proba []float64) int { return ml.ArgMax(proba) }
 
 // ---- health ----
 

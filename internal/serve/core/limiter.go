@@ -16,7 +16,7 @@ import (
 var ErrShed = errors.New("serve: overloaded, request shed")
 
 // errRequestDeadline is the cancellation cause installed by
-// Engine.WithRequestDeadline. Its presence in context.Cause distinguishes
+// Engine.Admitted. Its presence in context.Cause distinguishes
 // "the server's own -request-timeout fired" (503: the server failed the
 // request) from "the client went away" (499) when a handler surfaces a
 // context error.

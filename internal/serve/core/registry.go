@@ -1,13 +1,22 @@
 // Package core is the transport-agnostic half of the serving layer: a
 // named registry of trained mvg models, a request coalescer that merges
 // concurrent single-series predictions into batches for the parallel
-// extraction engine, admission control, stream sessions, metrics, and the
-// Engine that ties them together behind typed request/response values.
+// extraction engine, stream slots, metrics, and the Engine that ties them
+// together behind typed request/response values. The Engine owns every
+// per-request serving decision:
+//
+//   - the Admitted scope: request deadline, admission (queue or 429 shed)
+//     and the 503 mapping of the server's own deadline;
+//   - Predict: empty-batch and length validation, the fault points, and
+//     the coalescer or direct batch prediction;
+//   - RunDialogue: the stream loop, with a write deadline before every
+//     write and slow-reader eviction when one expires.
+//
 // The HTTP and gRPC codecs (internal/serve/httpapi, internal/serve/grpcapi)
-// are thin shells over this package, which is what keeps the two
+// only decode, call the engine and encode, which is what keeps the two
 // transports byte-identical: every decision that affects a response value
-// — status mapping, validation, coalescing, shed accounting — is made
-// here, exactly once. See docs/serving.md for the layer diagram.
+// — status mapping, validation, coalescing, shed and eviction accounting —
+// is made here, exactly once. See docs/serving.md for the layer diagram.
 package core
 
 import (

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"mvg"
@@ -42,7 +43,8 @@ var (
 	// StatusShed: admission control or a stream quota rejected the request
 	// before any model work; safe to retry after the hint.
 	StatusShed = Status{HTTP: 429, GRPC: grpcx.ResourceExhausted}
-	// StatusEvicted: the server evicted an idle stream dialogue.
+	// StatusEvicted: the server evicted a stream dialogue — idle, or a
+	// slow reader.
 	StatusEvicted = Status{HTTP: 408, GRPC: grpcx.DeadlineExceeded}
 	// StatusClientGone: the client cancelled; nobody is listening for the
 	// response.
@@ -107,4 +109,15 @@ func RetryHint(err error) time.Duration {
 		return se.RetryAfter
 	}
 	return 0
+}
+
+// RetryAfterSeconds renders a retry hint as a Retry-After header value:
+// whole seconds, rounded up, at least 1. The HTTP codec and mvgproxy
+// both render their hints through it, so a client sees one format.
+func RetryAfterSeconds(d time.Duration) string {
+	secs := int64((d + time.Second - 1) / time.Second)
+	if secs < 1 {
+		secs = 1
+	}
+	return strconv.FormatInt(secs, 10)
 }

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"time"
 
@@ -91,40 +90,39 @@ func (s *Server) instrumented(route string, h grpcx.UnaryHandler) grpcx.UnaryHan
 	}
 }
 
-// admitted layers the deadline and admission middleware under the
-// instrumentation: the call context gains the server's request timeout,
-// then the call claims an admission slot — or is shed with
-// RESOURCE_EXHAUSTED before any model work, exactly like the HTTP 429.
+// admitted runs a predict handler inside the engine's admitted scope,
+// under the instrumentation: the request deadline and an admission slot,
+// or RESOURCE_EXHAUSTED before any model work, exactly like the HTTP 429.
 func (s *Server) admitted(h grpcx.UnaryHandler) grpcx.UnaryHandler {
-	route := "grpc_predict"
-	return s.instrumented(route, func(ctx context.Context, call *grpcx.ServerCall, req grpcx.Message) (grpcx.Message, error) {
-		ctx, cancel := s.engine.WithRequestDeadline(ctx)
-		defer cancel()
-		release, err := s.engine.Admit(ctx)
-		if err != nil {
-			return nil, s.engine.RequestError(ctx, err)
-		}
-		defer release()
-		resp, err := h(ctx, call, req)
-		if err != nil {
-			return nil, s.engine.RequestError(ctx, err)
-		}
-		return resp, nil
+	return s.instrumented("grpc_predict", func(ctx context.Context, call *grpcx.ServerCall, req grpcx.Message) (grpcx.Message, error) {
+		var resp grpcx.Message
+		err := s.engine.Admitted(ctx, func(ctx context.Context) (err error) {
+			resp, err = h(ctx, call, req)
+			return err
+		})
+		return resp, err
 	})
 }
 
 // ---- unary handlers ----
 
-func (s *Server) predict(ctx context.Context, call *grpcx.ServerCall, req grpcx.Message) (grpcx.Message, error) {
-	r := req.(*mvgpb.PredictRequest)
+// predictOne is the half Predict and PredictProba share: one series
+// through the engine, which coalesces it.
+func (s *Server) predictOne(ctx context.Context, r *mvgpb.PredictRequest) (proba []float64, coalesced bool, err error) {
 	m, err := s.engine.Model(r.Model)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	if err := core.ValidateSeries(m, [][]float64{r.Series}); err != nil {
-		return nil, err
+	rows, coalesced, err := s.engine.Predict(ctx, r.Model, m, [][]float64{r.Series}, true)
+	if err != nil {
+		return nil, false, err
 	}
-	proba, coalesced, err := s.engine.PredictSingle(ctx, r.Model, r.Series)
+	return rows[0], coalesced, nil
+}
+
+func (s *Server) predict(ctx context.Context, call *grpcx.ServerCall, req grpcx.Message) (grpcx.Message, error) {
+	r := req.(*mvgpb.PredictRequest)
+	proba, coalesced, err := s.predictOne(ctx, r)
 	if err != nil {
 		return nil, err
 	}
@@ -133,14 +131,7 @@ func (s *Server) predict(ctx context.Context, call *grpcx.ServerCall, req grpcx.
 
 func (s *Server) predictProba(ctx context.Context, call *grpcx.ServerCall, req grpcx.Message) (grpcx.Message, error) {
 	r := req.(*mvgpb.PredictRequest)
-	m, err := s.engine.Model(r.Model)
-	if err != nil {
-		return nil, err
-	}
-	if err := core.ValidateSeries(m, [][]float64{r.Series}); err != nil {
-		return nil, err
-	}
-	proba, coalesced, err := s.engine.PredictSingle(ctx, r.Model, r.Series)
+	proba, coalesced, err := s.predictOne(ctx, r)
 	if err != nil {
 		return nil, err
 	}
@@ -153,27 +144,21 @@ func (s *Server) predictBatch(ctx context.Context, call *grpcx.ServerCall, req g
 	if err != nil {
 		return nil, err
 	}
-	if len(r.Batch) == 0 {
-		return nil, core.Errorf(core.StatusBadRequest, `"batch" must contain at least one series`)
-	}
 	series := make([][]float64, len(r.Batch))
 	for i, sr := range r.Batch {
 		if sr != nil {
 			series[i] = sr.Values
 		}
 	}
-	if err := core.ValidateSeries(m, series); err != nil {
-		return nil, err
-	}
-	classes, err := s.engine.PredictBatch(ctx, m, series)
+	rows, _, err := s.engine.Predict(ctx, r.Model, m, series, false)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int32, len(classes))
-	for i, c := range classes {
-		out[i] = int32(c)
+	classes := make([]int32, len(rows))
+	for i, row := range rows {
+		classes[i] = int32(core.Argmax(row))
 	}
-	return &mvgpb.PredictBatchResponse{Model: r.Model, Classes: out}, nil
+	return &mvgpb.PredictBatchResponse{Model: r.Model, Classes: classes}, nil
 }
 
 func (s *Server) listModels(ctx context.Context, call *grpcx.ServerCall, req grpcx.Message) (grpcx.Message, error) {
@@ -221,12 +206,13 @@ func (s *Server) health(ctx context.Context, call *grpcx.ServerCall, req grpcx.M
 // streamPredict is the bidi StreamPredict rpc: the first StreamRequest
 // must carry Open (model, hop, alert specs); every request's Samples are
 // pushed in order, and predictions/alerts come back as StreamResponse
-// frames. The dialogue loop — idle eviction, drain, the event stream —
-// is core.RunDialogue, shared with the NDJSON endpoint.
+// frames. The dialogue loop — idle and slow-reader eviction, write
+// deadlines, drain, the event stream — is core.RunDialogue, shared with
+// the NDJSON endpoint.
 func (s *Server) streamPredict(ctx context.Context, call *grpcx.ServerCall) error {
 	finish := s.engine.Metrics().RequestStarted()
 	start := time.Now()
-	sio := &grpcIO{s: s, call: call, chunks: make(chan core.Samples)}
+	sio := &grpcIO{call: call, chunks: make(chan core.Samples)}
 	defer func() {
 		finish("grpc_stream", core.StatusOf(sio.err).HTTP, time.Since(start).Seconds())
 	}()
@@ -300,10 +286,9 @@ func (s *Server) streamPredict(ctx context.Context, call *grpcx.ServerCall) erro
 }
 
 // grpcIO adapts the response side of a dialogue to core.DialogueIO: one
-// StreamResponse frame per event, under per-send write deadlines that
-// evict peers who stop reading.
+// StreamResponse frame per event. The write deadlines and what a failed
+// send means are RunDialogue's.
 type grpcIO struct {
-	s      *Server
 	call   *grpcx.ServerCall
 	chunks chan core.Samples
 	err    error // terminal status, nil on a clean dialogue
@@ -311,18 +296,7 @@ type grpcIO struct {
 
 func (g *grpcIO) Samples() <-chan core.Samples { return g.chunks }
 
-func (g *grpcIO) send(resp *mvgpb.StreamResponse) error {
-	if d := g.s.engine.StreamWriteTimeout(); d > 0 {
-		_ = g.call.SetWriteDeadline(time.Now().Add(d))
-	}
-	err := g.call.Send(resp)
-	if err != nil && errors.Is(err, os.ErrDeadlineExceeded) {
-		g.s.engine.Metrics().StreamEvicted(core.EvictSlowReader)
-		g.err = grpcx.Statusf(grpcx.DeadlineExceeded,
-			"stream evicted: slow reader (no progress within %v write deadline)", g.s.engine.StreamWriteTimeout())
-	}
-	return err
-}
+func (g *grpcIO) SetWriteDeadline(t time.Time) error { return g.call.SetWriteDeadline(t) }
 
 func (g *grpcIO) Emit(ev core.StreamEvent) error {
 	resp := &mvgpb.StreamResponse{}
@@ -346,11 +320,11 @@ func (g *grpcIO) Emit(ev core.StreamEvent) error {
 			Value:  ev.Alert.Value,
 		}
 	}
-	return g.send(resp)
+	return g.call.Send(resp)
 }
 
 func (g *grpcIO) EmitDone(done core.StreamDone) error {
-	return g.send(&mvgpb.StreamResponse{Done: &mvgpb.StreamDone{
+	return g.call.Send(&mvgpb.StreamResponse{Done: &mvgpb.StreamDone{
 		Samples:     int64(done.Samples),
 		Predictions: int64(done.Predictions),
 		Draining:    done.Draining,

@@ -258,7 +258,10 @@ func TestChaosMixedTraffic(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			held := openStream(t, ts.URL+"/v1/models/demo/stream?tenant=idler", inputs[2])
+			// One sample short of a window: the idler never reaches a
+			// prediction, so no fault in the schedule can end it first
+			// and only the idle deadline does.
+			held := openStream(t, ts.URL+"/v1/models/demo/stream?tenant=idler", inputs[2][:testSeriesLen-1])
 			held.waitEOF() // the idle deadline ends the dialogue for us
 			held.close()
 		}()

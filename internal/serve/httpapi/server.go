@@ -7,13 +7,12 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
-	"mvg"
 	"mvg/internal/serve/core"
 )
 
@@ -33,8 +32,8 @@ func NewServer(e *core.Engine) *Server {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/models", s.handleModels)
-	mux.HandleFunc("POST /v1/models/{name}/predict", s.admit(s.handlePredict))
-	mux.HandleFunc("POST /v1/models/{name}/predict_proba", s.admit(s.handlePredictProba))
+	mux.HandleFunc("POST /v1/models/{name}/predict", s.admit(s.handlePredict(false)))
+	mux.HandleFunc("POST /v1/models/{name}/predict_proba", s.admit(s.handlePredict(true)))
 	mux.HandleFunc("POST /v1/models/{name}/stream", s.handleStream)
 	mux.HandleFunc("POST /v1/models/{name}/reload", s.handleReload)
 	s.handler = s.instrument(mux)
@@ -82,28 +81,18 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// retryAfterHeader sets the Retry-After hint (whole seconds, minimum 1).
-func retryAfterHeader(w http.ResponseWriter, d time.Duration) {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-}
-
 // writeError renders err through the shared status table, attaching the
 // Retry-After header when the typed error carries a hint.
 func writeError(w http.ResponseWriter, err error) {
 	if d := core.RetryHint(err); d > 0 {
-		retryAfterHeader(w, d)
+		w.Header().Set("Retry-After", core.RetryAfterSeconds(d))
 	}
 	writeJSON(w, core.StatusOf(err).HTTP, errorResponse{Error: err.Error()})
 }
 
-// parsePredictRequest decodes and validates a prediction body against the
-// model, returning the series to predict and whether the request was the
-// single-series form.
-func parsePredictRequest(r *http.Request, m *mvg.Model) (series [][]float64, single bool, err error) {
+// parsePredictRequest decodes a prediction body, returning the series to
+// predict and whether the request was the single-series form.
+func parsePredictRequest(r *http.Request) (series [][]float64, single bool, err error) {
 	var req predictRequest
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 64<<20))
 	dec.DisallowUnknownFields()
@@ -114,115 +103,64 @@ func parsePredictRequest(r *http.Request, m *mvg.Model) (series [][]float64, sin
 	case req.Series != nil && req.Batch != nil:
 		return nil, false, core.Errorf(core.StatusBadRequest, `body must set exactly one of "series" or "batch"`)
 	case req.Series != nil:
-		series, single = [][]float64{req.Series}, true
+		return [][]float64{req.Series}, true, nil
 	case req.Batch != nil:
-		if len(req.Batch) == 0 {
-			return nil, false, core.Errorf(core.StatusBadRequest, `"batch" must contain at least one series`)
-		}
-		series = req.Batch
-	default:
-		return nil, false, core.Errorf(core.StatusBadRequest, `body must set "series" or "batch"`)
+		return req.Batch, false, nil
 	}
-	if err := core.ValidateSeries(m, series); err != nil {
-		return nil, false, err
-	}
-	return series, single, nil
+	return nil, false, core.Errorf(core.StatusBadRequest, `body must set "series" or "batch"`)
 }
 
-// model resolves the {name} path value against the registry.
-func (s *Server) model(r *http.Request) (string, *mvg.Model, error) {
-	name := r.PathValue("name")
-	m, err := s.engine.Model(name)
-	return name, m, err
-}
-
-// ---- middleware ----
-
-// admit wraps a predict handler with the deadline and admission
-// middleware: the request context gains the server's -request-timeout,
-// then the request claims an admission slot — or is shed with 429 +
-// Retry-After before any model work. Queue waits are bounded by the
-// request deadline, so a queued request can time out (503) without ever
-// being admitted.
-func (s *Server) admit(next http.HandlerFunc) http.HandlerFunc {
+// admit runs a predict handler inside the engine's admitted scope: the
+// request deadline and an admission slot, or a 429 + Retry-After shed
+// before the body is read. Whatever error the handler returns — or the
+// scope maps, such as the server's own deadline (503) — is rendered here.
+func (s *Server) admit(next func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := s.engine.WithRequestDeadline(r.Context())
-		defer cancel()
-		r = r.WithContext(ctx)
-		release, err := s.engine.Admit(ctx)
+		err := s.engine.Admitted(r.Context(), func(ctx context.Context) error {
+			return next(w, r.WithContext(ctx))
+		})
 		if err != nil {
-			s.writeRequestError(w, r, err)
-			return
+			writeError(w, err)
 		}
-		defer release()
-		next(w, r)
 	}
-}
-
-// writeRequestError maps err like writeError after letting the engine
-// recognise its own request deadline (503 + Retry-After + timeout
-// counter); client cancellations keep the 499 mapping.
-func (s *Server) writeRequestError(w http.ResponseWriter, r *http.Request, err error) {
-	writeError(w, s.engine.RequestError(r.Context(), err))
 }
 
 // ---- handlers ----
 
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	name, m, err := s.model(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	series, single, err := parsePredictRequest(r, m)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if single {
-		proba, coalesced, err := s.engine.PredictSingle(r.Context(), name, series[0])
+// handlePredict serves /predict (proba false) and /predict_proba (proba
+// true); the two differ only in the response shape.
+func (s *Server) handlePredict(proba bool) func(http.ResponseWriter, *http.Request) error {
+	return func(w http.ResponseWriter, r *http.Request) error {
+		name := r.PathValue("name")
+		m, err := s.engine.Model(name)
 		if err != nil {
-			s.writeRequestError(w, r, err)
-			return
+			return err
 		}
-		class := core.Argmax(proba)
-		writeJSON(w, http.StatusOK, predictResponse{Model: name, Class: &class, Coalesced: coalesced})
-		return
-	}
-	classes, err := s.engine.PredictBatch(r.Context(), m, series)
-	if err != nil {
-		s.writeRequestError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, predictResponse{Model: name, Classes: classes})
-}
-
-func (s *Server) handlePredictProba(w http.ResponseWriter, r *http.Request) {
-	name, m, err := s.model(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	series, single, err := parsePredictRequest(r, m)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if single {
-		proba, coalesced, err := s.engine.PredictSingle(r.Context(), name, series[0])
+		series, single, err := parsePredictRequest(r)
 		if err != nil {
-			s.writeRequestError(w, r, err)
-			return
+			return err
 		}
-		writeJSON(w, http.StatusOK, probaResponse{Model: name, Proba: proba, Coalesced: coalesced})
-		return
+		rows, coalesced, err := s.engine.Predict(r.Context(), name, m, series, single)
+		if err != nil {
+			return err
+		}
+		switch {
+		case proba && single:
+			writeJSON(w, http.StatusOK, probaResponse{Model: name, Proba: rows[0], Coalesced: coalesced})
+		case proba:
+			writeJSON(w, http.StatusOK, probaResponse{Model: name, Probas: rows})
+		case single:
+			class := core.Argmax(rows[0])
+			writeJSON(w, http.StatusOK, predictResponse{Model: name, Class: &class, Coalesced: coalesced})
+		default:
+			classes := make([]int, len(rows))
+			for i, row := range rows {
+				classes[i] = core.Argmax(row)
+			}
+			writeJSON(w, http.StatusOK, predictResponse{Model: name, Classes: classes})
+		}
+		return nil
 	}
-	probas, err := s.engine.PredictProbaBatch(r.Context(), m, series)
-	if err != nil {
-		s.writeRequestError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, probaResponse{Model: name, Probas: probas})
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {

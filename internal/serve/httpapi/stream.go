@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -41,9 +40,10 @@ import (
 // line followed by end-of-stream; errors before any output use the normal
 // status mapping. The stream is context-cancellable: a dropped client
 // connection stops extraction at the next sample. The dialogue logic
-// itself — hop prediction, alerts, idle eviction, drain — lives in
-// core.RunDialogue, shared with the gRPC codec; this file is only the
-// NDJSON framing. See docs/streaming.md for the protocol.
+// itself — hop prediction, alerts, idle and slow-reader eviction, write
+// deadlines, drain — lives in core.RunDialogue, shared with the gRPC
+// codec; this file is only the NDJSON framing. See docs/streaming.md for
+// the protocol.
 
 type streamErrorEvent struct {
 	Error string `json:"error"`
@@ -107,7 +107,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	rc := http.NewResponseController(w)
 	_ = rc.EnableFullDuplex()
 
-	io := &ndjsonIO{s: s, w: w, rc: rc, enc: json.NewEncoder(w), lines: make(chan core.Samples)}
+	io := &ndjsonIO{w: w, rc: rc, enc: json.NewEncoder(w), lines: make(chan core.Samples)}
 
 	// The body is consumed by a dedicated reader goroutine so the
 	// dialogue loop can simultaneously watch the idle deadline, the
@@ -188,76 +188,47 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // ndjsonIO adapts the NDJSON response side of a dialogue to
-// core.DialogueIO: one JSON line per event, flushed immediately, under
-// per-write deadlines that evict clients who stop reading.
+// core.DialogueIO: one JSON line per event, flushed immediately. The
+// write deadlines and what a failed write means are RunDialogue's.
 type ndjsonIO struct {
-	s     *Server
 	w     http.ResponseWriter
 	rc    *http.ResponseController
 	enc   *json.Encoder
 	lines chan core.Samples
-
-	wrote        bool
-	writeFailure error
+	wrote bool
 }
 
 func (io *ndjsonIO) Samples() <-chan core.Samples { return io.lines }
 
-// emit writes one response line. Every line renews the write deadline: a
-// client that reads, however slowly, keeps the dialogue alive; one that
-// stops reading entirely lets the deadline expire once the server-side
-// buffers fill, which surfaces as a write error.
-func (io *ndjsonIO) emit(ev any) bool {
-	streamWrite := io.s.engine.StreamWriteTimeout()
-	if streamWrite > 0 {
-		_ = io.rc.SetWriteDeadline(time.Now().Add(streamWrite))
-	}
+func (io *ndjsonIO) SetWriteDeadline(t time.Time) error { return io.rc.SetWriteDeadline(t) }
+
+// write puts one response line on the wire and flushes it. It returns the
+// encode error, or a flush error that hit the write deadline; other flush
+// errors (transports that cannot flush) are not write failures.
+func (io *ndjsonIO) write(v any) error {
 	if !io.wrote {
 		io.w.Header().Set("Content-Type", "application/x-ndjson")
 		io.w.WriteHeader(http.StatusOK)
 		io.wrote = true
 	}
-	if err := io.enc.Encode(ev); err != nil {
-		io.writeFailure = err
-		return false
+	if err := io.enc.Encode(v); err != nil {
+		return err
 	}
-	if err := io.rc.Flush(); err != nil && errors.Is(err, os.ErrDeadlineExceeded) {
-		io.writeFailure = err
-		return false
+	if err := io.rc.Flush(); errors.Is(err, os.ErrDeadlineExceeded) {
+		return err
 	}
-	return true
-}
-
-// send is emit plus slow-reader accounting: a write that died on the
-// deadline evicts the stream (counted) with a best-effort terminal
-// error line under one fresh deadline; any other write failure is the
-// client disconnecting, which needs no farewell.
-func (io *ndjsonIO) send(ev any) error {
-	if io.emit(ev) {
-		return nil
-	}
-	if errors.Is(io.writeFailure, os.ErrDeadlineExceeded) {
-		io.s.engine.Metrics().StreamEvicted(core.EvictSlowReader)
-		streamWrite := io.s.engine.StreamWriteTimeout()
-		if streamWrite > 0 {
-			_ = io.rc.SetWriteDeadline(time.Now().Add(streamWrite))
-		}
-		_ = io.enc.Encode(streamErrorEvent{Error: fmt.Sprintf(
-			"stream evicted: slow reader (no progress within %v write deadline)", streamWrite)})
-		_ = io.rc.Flush()
-	}
-	return io.writeFailure
+	return nil
 }
 
 func (io *ndjsonIO) Emit(ev core.StreamEvent) error {
 	if ev.Prediction != nil {
-		return io.send(*ev.Prediction)
+		return io.write(*ev.Prediction)
 	}
-	return io.send(*ev.Alert)
+	return io.write(*ev.Alert)
 }
 
 func (io *ndjsonIO) EmitDone(done core.StreamDone) error {
-	return io.send(done)
+	return io.write(done)
 }
 
 // EmitError surfaces a terminal failure: before any output it can still
@@ -265,7 +236,8 @@ func (io *ndjsonIO) EmitDone(done core.StreamDone) error {
 // headers are gone, so it becomes an {"error":...} line.
 func (io *ndjsonIO) EmitError(err error) {
 	if io.wrote {
-		io.emit(streamErrorEvent{Error: err.Error()})
+		// Best effort: the dialogue ends whether or not this line lands.
+		_ = io.write(streamErrorEvent{Error: err.Error()})
 		return
 	}
 	writeError(io.w, err)
