@@ -23,6 +23,21 @@ type Classifier interface {
 	Clone() Classifier
 }
 
+// Prefixed is implemented by classifiers whose shorter fits are prefixes
+// of longer ones: fitted on the same data, a configuration that differs
+// only in its iteration count yields exactly the first iterations of the
+// longer fit, so one fit can score several configurations (boosting
+// rounds in grid search).
+type Prefixed interface {
+	// PrefixOf reports whether c's fit on any data is the first k
+	// iterations of the receiver's fit on that data.
+	PrefixOf(c Classifier) (k int, ok bool)
+	// Truncate returns the first k iterations of the fitted receiver as
+	// a fitted classifier whose predictions equal those of a k-iteration
+	// fit, bit for bit.
+	Truncate(k int) Classifier
+}
+
 // Named is implemented by classifiers that can describe their configured
 // hyper-parameters; used in experiment reports.
 type Named interface {

@@ -123,35 +123,107 @@ type CVResult struct {
 // between folds, so a cancelled grid search stops mid-candidate rather
 // than finishing every remaining fold.
 func CrossValidate(ctx context.Context, c ml.Classifier, X [][]float64, y []int, classes, folds int, oversample bool, seed int64) (CVResult, error) {
+	res, err := crossValidate(ctx, c, []ml.Classifier{c}, []int{0}, X, y, classes, folds, oversample, seed)
+	if err != nil {
+		return CVResult{}, err
+	}
+	return res[0], nil
+}
+
+// crossValidate fits host once per fold and scores every guest on that
+// fold: guests[j] from the host's first ks[j] iterations (ml.Prefixed),
+// or from the host's fit as it is when ks[j] is 0. Each guest's fold
+// totals accumulate in fold order, so its result equals CrossValidate of
+// that guest alone, bit for bit.
+func crossValidate(ctx context.Context, host ml.Classifier, guests []ml.Classifier, ks []int, X [][]float64, y []int, classes, folds int, oversample bool, seed int64) ([]CVResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	fs, err := StratifiedKFolds(y, folds, seed)
 	if err != nil {
-		return CVResult{}, err
+		return nil, err
 	}
-	var totalLL, totalER float64
+	totalLL := make([]float64, len(guests))
+	totalER := make([]float64, len(guests))
 	for hold := range fs {
 		if err := ctx.Err(); err != nil {
-			return CVResult{}, err
+			return nil, err
 		}
 		trX, trY, vaX, vaY := Split(X, y, fs, hold)
 		if oversample {
 			trX, trY = Oversample(trX, trY, classes, seed+int64(hold))
 		}
-		model := c.Clone()
+		model := host.Clone()
 		if err := model.Fit(trX, trY, classes); err != nil {
-			return CVResult{}, fmt.Errorf("modelsel: fold %d: %w", hold, err)
+			return nil, fmt.Errorf("modelsel: fold %d: %w", hold, err)
 		}
-		proba, err := model.PredictProba(vaX)
-		if err != nil {
-			return CVResult{}, err
+		for j, k := range ks {
+			scorer := model
+			if k > 0 {
+				scorer = model.(ml.Prefixed).Truncate(k)
+			}
+			proba, err := scorer.PredictProba(vaX)
+			if err != nil {
+				return nil, err
+			}
+			totalLL[j] += ml.LogLoss(proba, vaY)
+			totalER[j] += ml.ErrorRate(ml.Predict(proba), vaY)
 		}
-		totalLL += ml.LogLoss(proba, vaY)
-		totalER += ml.ErrorRate(ml.Predict(proba), vaY)
 	}
 	n := float64(len(fs))
-	return CVResult{Candidate: c, LogLoss: totalLL / n, ErrorRate: totalER / n}, nil
+	out := make([]CVResult, len(guests))
+	for j, g := range guests {
+		out[j] = CVResult{Candidate: g, LogLoss: totalLL[j] / n, ErrorRate: totalER[j] / n}
+	}
+	return out, nil
+}
+
+// hostGroup is one grid-search job: a host candidate fitted once per fold
+// and the candidates scored from its fits.
+type hostGroup struct {
+	host   int   // candidate index
+	guests []int // candidate indices in grid order, the host included
+	ks     []int // per guest, the iterations to keep; 0 keeps the whole fit
+}
+
+// groupByPrefix maps every candidate to its host: the candidate with the
+// most iterations whose fit it is a prefix of (the first in grid order
+// among equals), or itself when there is none. Being a prefix only
+// relates configurations that differ in their iteration count, so every
+// host is its own host.
+func groupByPrefix(candidates []ml.Classifier) []hostGroup {
+	iters := make([]int, len(candidates)) // each Prefixed candidate's own count
+	for j, c := range candidates {
+		if p, ok := c.(ml.Prefixed); ok {
+			iters[j], _ = p.PrefixOf(c)
+		}
+	}
+	var groups []hostGroup
+	at := map[int]int{} // host index → position in groups
+	for i, c := range candidates {
+		host, k := -1, 0
+		for j, h := range candidates {
+			p, ok := h.(ml.Prefixed)
+			if !ok {
+				continue
+			}
+			if kj, ok := p.PrefixOf(c); ok && (host < 0 || iters[j] > iters[host]) {
+				host, k = j, kj
+			}
+		}
+		if host < 0 || host == i {
+			host, k = i, 0
+		}
+		g, ok := at[host]
+		if !ok {
+			g = len(groups)
+			at[host] = g
+			groups = append(groups, hostGroup{host: host})
+		}
+		groups[g].guests = append(groups[g].guests, i)
+		groups[g].ks = append(groups[g].ks, k)
+	}
+	return groups
 }
 
 // GridSearch cross-validates every candidate on the given executor — the
@@ -159,9 +231,13 @@ func CrossValidate(ctx context.Context, c ml.Classifier, X [][]float64, y []int,
 // GOMAXPROCS workers that lives for this call — and returns the results
 // sorted by ascending log loss (best first, original grid order breaking
 // ties so the outcome is deterministic regardless of the worker count).
-// The context cancels the search between cross-validation jobs, returning
-// ctx.Err(). Candidates that fail to train are skipped; an error is
-// returned only if all fail.
+// Candidates whose fits are prefixes of a longer candidate's (ml.Prefixed:
+// boosting configurations that differ only in their round count) are
+// scored from that candidate's fits, one job per such host, and every
+// result equals the candidate's own CrossValidate. The context cancels
+// the search between cross-validation jobs, returning ctx.Err().
+// Candidates that fail to train are skipped; an error is returned only if
+// all fail.
 func GridSearch(ctx context.Context, run parallel.Runner, candidates []ml.Classifier, X [][]float64, y []int, classes, folds int, oversample bool, seed int64) ([]CVResult, error) {
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("modelsel: no candidates")
@@ -181,8 +257,21 @@ func GridSearch(ctx context.Context, run parallel.Runner, candidates []ml.Classi
 		err error
 	}
 	slots := make([]slot, len(candidates))
-	err := run(ctx, len(candidates), func(i int) error {
-		slots[i].res, slots[i].err = CrossValidate(ctx, candidates[i], X, y, classes, folds, oversample, seed)
+	groups := groupByPrefix(candidates)
+	err := run(ctx, len(groups), func(gi int) error {
+		g := groups[gi]
+		guests := make([]ml.Classifier, len(g.guests))
+		for j, i := range g.guests {
+			guests[j] = candidates[i]
+		}
+		res, err := crossValidate(ctx, candidates[g.host], guests, g.ks, X, y, classes, folds, oversample, seed)
+		for j, i := range g.guests {
+			if err != nil {
+				slots[i].err = err
+			} else {
+				slots[i].res = res[j]
+			}
+		}
 		return nil // per-candidate failures are tolerated below
 	})
 	if err != nil {

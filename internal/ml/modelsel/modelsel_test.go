@@ -2,11 +2,17 @@ package modelsel
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"sort"
+	"sync/atomic"
 	"testing"
 
+	"mvg/internal/grids"
 	"mvg/internal/ml"
 	"mvg/internal/ml/cart"
 	"mvg/internal/ml/mltest"
+	"mvg/internal/ml/xgb"
 )
 
 func TestStratifiedKFolds(t *testing.T) {
@@ -137,4 +143,156 @@ func TestBestRefitsOnFullData(t *testing.T) {
 	if acc := ml.Accuracy(ml.Predict(proba), y); acc < 0.9 {
 		t.Errorf("refit winner training accuracy = %v", acc)
 	}
+}
+
+// skewedBlobs draws three blobs and keeps a third of class 2, so
+// oversampling has minority rows to duplicate.
+func skewedBlobs(n, dims int, seed int64) ([][]float64, []int) {
+	X, y := mltest.Blobs(n, 3, dims, 1.5, seed)
+	var outX [][]float64
+	var outY []int
+	for i := range X {
+		if y[i] != 2 || i%3 == 0 {
+			outX = append(outX, X[i])
+			outY = append(outY, y[i])
+		}
+	}
+	return outX, outY
+}
+
+// requireSameResults fails unless got equals want bit for bit, in order.
+func requireSameResults(t *testing.T, got, want []CVResult) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("got %d results, want %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Candidate != w.Candidate ||
+			math.Float64bits(g.LogLoss) != math.Float64bits(w.LogLoss) ||
+			math.Float64bits(g.ErrorRate) != math.Float64bits(w.ErrorRate) {
+			t.Fatalf("result %d: got %p (%v, %v), want %p (%v, %v)",
+				i, g.Candidate, g.LogLoss, g.ErrorRate, w.Candidate, w.LogLoss, w.ErrorRate)
+		}
+	}
+}
+
+// perCandidate is the reference a shared-fit grid search must reproduce:
+// each candidate's own CrossValidate, stably sorted by log loss.
+func perCandidate(t *testing.T, cands []ml.Classifier, X [][]float64, y []int, classes int, oversample bool) []CVResult {
+	t.Helper()
+	want := make([]CVResult, len(cands))
+	for i, c := range cands {
+		var err error
+		if want[i], err = CrossValidate(context.Background(), c, X, y, classes, 3, oversample, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sort.SliceStable(want, func(i, j int) bool { return want[i].LogLoss < want[j].LogLoss })
+	return want
+}
+
+// TestGridSearchMatchesCrossValidate: boosting candidates are scored from
+// the fits of the longest candidate they are a prefix of, and every result
+// must still equal that candidate's own CrossValidate, in the same order.
+func TestGridSearchMatchesCrossValidate(t *testing.T) {
+	X, y := skewedBlobs(54, 8, 21)
+	quick := grids.XGB(grids.Quick, 1)
+	twin := *quick[2].(*xgb.Model) // equal parameters, distinct candidate
+	lists := []struct {
+		name  string
+		cands []ml.Classifier
+	}{
+		{"quick xgb", quick},
+		{"full xgb", grids.XGB(grids.Full, 1)},
+		{"rf and xgb", append(grids.RF(grids.Quick, 1)[:2], grids.XGB(grids.Quick, 2)...)},
+		{"duplicates", append([]ml.Classifier{quick[2], &twin}, quick...)},
+	}
+	for _, l := range lists {
+		for _, oversample := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/oversample=%v", l.name, oversample), func(t *testing.T) {
+				got, err := GridSearch(context.Background(), nil, l.cands, X, y, 3, 3, oversample, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameResults(t, got, perCandidate(t, l.cands, X, y, 3, oversample))
+			})
+		}
+	}
+}
+
+// prefixFake stands in for a booster: a fit with fewer rounds is a prefix
+// of a longer fit in the same family. Every fit is counted.
+type prefixFake struct {
+	family, rounds int
+	fits           *atomic.Int64
+	freq           []float64 // class frequencies of the training labels
+}
+
+func (f *prefixFake) Clone() ml.Classifier {
+	return &prefixFake{family: f.family, rounds: f.rounds, fits: f.fits}
+}
+
+func (f *prefixFake) Fit(X [][]float64, y []int, classes int) error {
+	f.fits.Add(1)
+	f.freq = make([]float64, classes)
+	for c, n := range ml.ClassCounts(y, classes) {
+		f.freq[c] = float64(n)
+	}
+	ml.Normalize(f.freq)
+	return nil
+}
+
+// PredictProba leans on the row's own axis more with every round.
+func (f *prefixFake) PredictProba(X [][]float64) ([][]float64, error) {
+	if f.freq == nil {
+		return nil, ml.ErrNotFitted
+	}
+	out := make([][]float64, len(X))
+	for i, row := range X {
+		p := make([]float64, len(f.freq))
+		for c := range p {
+			p[c] = f.freq[c] + float64(f.rounds)*math.Max(0, row[c%len(row)])/100
+		}
+		out[i] = ml.Normalize(p)
+	}
+	return out, nil
+}
+
+func (f *prefixFake) PrefixOf(c ml.Classifier) (int, bool) {
+	o, ok := c.(*prefixFake)
+	if !ok || o.family != f.family || o.rounds > f.rounds {
+		return 0, false
+	}
+	return o.rounds, true
+}
+
+func (f *prefixFake) Truncate(k int) ml.Classifier {
+	return &prefixFake{family: f.family, rounds: k, fits: f.fits, freq: f.freq}
+}
+
+// TestGridSearchFitsEachHostOncePerFold pins the grouping: a candidate is
+// scored from the candidate with the most rounds whose fit it is a prefix
+// of, so the search fits hosts × folds times, however many guests ride.
+func TestGridSearchFitsEachHostOncePerFold(t *testing.T) {
+	X, y := skewedBlobs(54, 4, 22)
+	var fits atomic.Int64
+	fake := func(family, rounds int) ml.Classifier {
+		return &prefixFake{family: family, rounds: rounds, fits: &fits}
+	}
+	// Hosts: family 0 at 30 rounds (the first of two), family 1 at 5
+	// rounds, and the tree, which is not Prefixed and hosts only itself.
+	cands := []ml.Classifier{
+		fake(0, 10), fake(0, 30), fake(1, 5), fake(0, 20),
+		cart.New(cart.Params{MaxDepth: 3}), fake(1, 5), fake(0, 30), fake(1, 2),
+	}
+	const hosts, folds = 2, 3
+	got, err := GridSearch(context.Background(), nil, cands, X, y, 3, folds, true, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := fits.Load(); n != hosts*folds {
+		t.Errorf("grid search fitted the fakes %d times, want hosts × folds = %d", n, hosts*folds)
+	}
+	requireSameResults(t, got, perCandidate(t, cands, X, y, 3, true))
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"mvg/internal/ml"
@@ -105,20 +106,74 @@ func New(p Params) *Model { return &Model{P: p} }
 // Clone returns a fresh untrained model with identical parameters.
 func (m *Model) Clone() ml.Classifier { return &Model{P: m.P} }
 
+// PrefixOf implements ml.Prefixed: c's fit is the first k rounds of m's
+// when both are boosters whose parameters, after defaults, differ only in
+// NumRounds and c has no more rounds than m. Fit draws from its rng in
+// round order (the row sample, then each class's column sample), round
+// r's trees depend only on earlier rounds, and PredictProba sums rounds
+// in order, so the prefix is exact.
+func (m *Model) PrefixOf(c ml.Classifier) (int, bool) {
+	o, ok := c.(*Model)
+	if !ok {
+		return 0, false
+	}
+	long, short := m.P.withDefaults(), o.P.withDefaults()
+	k := short.NumRounds
+	short.NumRounds = long.NumRounds
+	if short != long || k > long.NumRounds {
+		return 0, false
+	}
+	return k, true
+}
+
+// Truncate implements ml.Prefixed: the fitted model's first k rounds,
+// for 0 < k <= the fitted rounds. The result predicts exactly as a
+// k-round fit does; its feature importance reads zero, since only a full
+// fit accumulates split gain.
+func (m *Model) Truncate(k int) ml.Classifier {
+	p := m.P
+	p.NumRounds = k
+	return &Model{P: p, classes: m.classes, trees: m.trees[:k:k], gain: make([]float64, len(m.gain))}
+}
+
 // Name implements ml.Named.
 func (m *Model) Name() string {
 	p := m.P.withDefaults()
 	return fmt.Sprintf("xgb(rounds=%d,lr=%.2g,depth=%d)", p.NumRounds, p.LearningRate, p.MaxDepth)
 }
 
-// treeBuilder grows one regression tree on gradients/hessians.
+// valueRow is one row's value of the feature being scanned.
+type valueRow struct {
+	v   float64
+	row int
+}
+
+// byValue orders valueRows by value. pdqsort uses a comparator only as
+// "cmp(a, b) < 0", which holds exactly when a.v < b.v: the same less
+// function the split scan has always sorted with, so ties land in the
+// same permutation and the gradient sums keep their order and their bits.
+func byValue(a, b valueRow) int {
+	switch {
+	case a.v < b.v:
+		return -1
+	case a.v > b.v:
+		return 1
+	}
+	return 0
+}
+
+// treeBuilder grows one regression tree on gradients/hessians. Its
+// buffers are sized to the training set once per Fit; growing a tree
+// allocates nothing but the nodes it appends.
 type treeBuilder struct {
-	X       [][]float64
+	cols    [][]float64 // cols[f][i] = X[i][f]
 	g, h    []float64
 	p       Params
 	nodes   []regNode
 	columns []int
 	gain    []float64
+	pairs   []valueRow // the scanned feature's values at a node's rows
+	right   []int      // a node's right-going rows while it partitions
 }
 
 func (b *treeBuilder) leaf(idx []int) int32 {
@@ -132,6 +187,9 @@ func (b *treeBuilder) leaf(idx []int) int32 {
 	return int32(len(b.nodes) - 1)
 }
 
+// grow builds the subtree over the rows in idx, which it reorders in
+// place: each split leaves its left rows first and its right rows after,
+// both in their previous order.
 func (b *treeBuilder) grow(idx []int, depth int) int32 {
 	if depth >= b.p.MaxDepth || len(idx) < 2 {
 		return b.leaf(idx)
@@ -147,16 +205,19 @@ func (b *treeBuilder) grow(idx []int, depth int) int32 {
 	bestFeature := -1
 	bestThreshold := 0.0
 
-	order := make([]int, len(idx))
+	pairs := b.pairs[:len(idx)]
 	for _, f := range b.columns {
-		copy(order, idx)
-		sort.Slice(order, func(a, c int) bool { return b.X[order[a]][f] < b.X[order[c]][f] })
+		col := b.cols[f]
+		for k, i := range idx {
+			pairs[k] = valueRow{col[i], i}
+		}
+		slices.SortFunc(pairs, byValue)
 		var GL, HL float64
-		for k := 0; k+1 < len(order); k++ {
-			i := order[k]
+		for k := 0; k+1 < len(pairs); k++ {
+			i := pairs[k].row
 			GL += b.g[i]
 			HL += b.h[i]
-			v, next := b.X[i][f], b.X[order[k+1]][f]
+			v, next := pairs[k].v, pairs[k+1].v
 			if v == next {
 				continue
 			}
@@ -179,21 +240,25 @@ func (b *treeBuilder) grow(idx []int, depth int) int32 {
 	}
 	b.gain[bestFeature] += bestGain
 
-	var leftIdx, rightIdx []int
+	// Stable partition: left rows move forward in place, right rows wait
+	// in b.right and follow them. An empty side leaves idx as it was.
+	col := b.cols[bestFeature]
+	left, right := idx[:0], b.right[:0]
 	for _, i := range idx {
-		if b.X[i][bestFeature] <= bestThreshold {
-			leftIdx = append(leftIdx, i)
+		if col[i] <= bestThreshold {
+			left = append(left, i)
 		} else {
-			rightIdx = append(rightIdx, i)
+			right = append(right, i)
 		}
 	}
-	if len(leftIdx) == 0 || len(rightIdx) == 0 {
+	if len(left) == 0 || len(right) == 0 {
 		return b.leaf(idx)
 	}
+	copy(idx[len(left):], right)
 	self := int32(len(b.nodes))
 	b.nodes = append(b.nodes, regNode{feature: int32(bestFeature), threshold: bestThreshold})
-	l := b.grow(leftIdx, depth+1)
-	r := b.grow(rightIdx, depth+1)
+	l := b.grow(idx[:len(left)], depth+1)
+	r := b.grow(idx[len(left):], depth+1)
 	b.nodes[self].left = l
 	b.nodes[self].right = r
 	return self
@@ -229,25 +294,39 @@ func (m *Model) Fit(X [][]float64, y []int, classes int) error {
 	for i := range allCols {
 		allCols[i] = i
 	}
+	cols := make([][]float64, width)
+	flat := make([]float64, width*n)
+	for f := range cols {
+		cols[f] = flat[f*n : (f+1)*n]
+		for i, row := range X {
+			cols[f][i] = row[f]
+		}
+	}
+	b := &treeBuilder{cols: cols, g: g, h: h, p: p, gain: m.gain,
+		pairs: make([]valueRow, n), right: make([]int, 0, n)}
+	rows := make([]int, 0, n)
+	order := make([]int, n)
 
 	for round := 0; round < p.NumRounds; round++ {
 		// Softmax over current raw scores.
 		for i := range raw {
 			softmaxInto(raw[i], probs[i])
 		}
-		// Row subsample for this round.
-		var rows []int
+		// Row subsample for this round: every row when the sample is
+		// off or keeps fewer than two.
+		rows = rows[:0]
 		if p.Subsample < 1 {
 			for i := 0; i < n; i++ {
 				if rng.Float64() < p.Subsample {
 					rows = append(rows, i)
 				}
 			}
-			if len(rows) < 2 {
-				rows = allRows(n)
+		}
+		if len(rows) < 2 {
+			rows = rows[:0]
+			for i := 0; i < n; i++ {
+				rows = append(rows, i)
 			}
-		} else {
-			rows = allRows(n)
 		}
 
 		roundTrees := make([]regTree, classes)
@@ -265,7 +344,7 @@ func (m *Model) Fit(X [][]float64, y []int, classes int) error {
 				}
 			}
 			// Column subsample per tree.
-			cols := allCols
+			b.columns = allCols
 			if p.ColsampleByTree < 1 {
 				k := int(math.Ceil(p.ColsampleByTree * float64(width)))
 				if k < 1 {
@@ -273,10 +352,12 @@ func (m *Model) Fit(X [][]float64, y []int, classes int) error {
 				}
 				perm := rng.Perm(width)[:k]
 				sort.Ints(perm)
-				cols = perm
+				b.columns = perm
 			}
-			b := &treeBuilder{X: X, g: g, h: h, p: p, columns: cols, gain: m.gain}
-			b.grow(rows, 0)
+			// grow reorders its rows, and every class of the round
+			// starts from the round's sample order.
+			b.nodes = nil
+			b.grow(order[:copy(order, rows)], 0)
 			roundTrees[c] = regTree{nodes: b.nodes}
 			// Update raw scores for all samples.
 			for i := 0; i < n; i++ {
@@ -286,14 +367,6 @@ func (m *Model) Fit(X [][]float64, y []int, classes int) error {
 		m.trees = append(m.trees, roundTrees)
 	}
 	return nil
-}
-
-func allRows(n int) []int {
-	rows := make([]int, n)
-	for i := range rows {
-		rows[i] = i
-	}
-	return rows
 }
 
 // softmaxInto writes softmax(raw) into dst.
@@ -334,6 +407,9 @@ func (m *Model) PredictProba(X [][]float64) ([][]float64, error) {
 	}
 	return out, nil
 }
+
+// Dims returns the fitted model's class count and feature width.
+func (m *Model) Dims() (classes, width int) { return m.classes, len(m.gain) }
 
 // FeatureImportance returns total split gain per feature, normalized to
 // sum to one (zero vector if the ensemble never split).

@@ -101,3 +101,17 @@ func TestDeterministic(t *testing.T) {
 		t.Error("boosting is not deterministic under a fixed seed")
 	}
 }
+
+// BenchmarkXGBFit is one quick-grid host fit on one training fold of a
+// SynthECG-sized set: 40 rows × 184 features, 3 classes, 50 rounds at
+// depth 6, rows and columns sampled at 0.5.
+func BenchmarkXGBFit(b *testing.B) {
+	X, y := mltest.Blobs(40, 3, 184, 1.5, 1)
+	p := Params{NumRounds: 50, MaxDepth: 6, LearningRate: 0.3, Subsample: 0.5, ColsampleByTree: 0.5, Seed: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := New(p).Fit(X, y, 3); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
