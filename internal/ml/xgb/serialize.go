@@ -3,6 +3,7 @@ package xgb
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 
 	"mvg/internal/ml"
@@ -56,36 +57,60 @@ func (m *Model) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalBinary restores a model encoded by MarshalBinary.
+// ErrMalformed is wrapped by every error UnmarshalBinary returns: the
+// bytes do not decode, or they decode to an ensemble prediction could not
+// walk safely.
+var ErrMalformed = errors.New("xgb: malformed model")
+
+// UnmarshalBinary restores a model encoded by MarshalBinary. Model files
+// arrive from outside the program, so it rejects any ensemble whose
+// prediction could fail: a tree with no nodes, a split whose children do
+// not both lie after it and inside its tree (Fit appends a node before its
+// subtrees, so every fitted model passes, and no walk can cycle), or a
+// split on a feature outside the model's width, len(Gain).
 func (m *Model) UnmarshalBinary(data []byte) error {
 	var snap modelSnapshot
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return fmt.Errorf("xgb: decode: %w", err)
+		return fmt.Errorf("%w: decode: %v", ErrMalformed, err)
 	}
 	if snap.Classes < 2 || len(snap.Trees) == 0 {
-		return fmt.Errorf("xgb: decoded model is malformed (%d classes, %d rounds)",
-			snap.Classes, len(snap.Trees))
+		return fmt.Errorf("%w: %d classes, %d rounds", ErrMalformed, snap.Classes, len(snap.Trees))
+	}
+	trees := make([][]regTree, len(snap.Trees))
+	for r, round := range snap.Trees {
+		if len(round) != snap.Classes {
+			return fmt.Errorf("%w: round %d has %d trees, want %d", ErrMalformed, r, len(round), snap.Classes)
+		}
+		trees[r] = make([]regTree, len(round))
+		for c, nodes := range round {
+			if len(nodes) == 0 {
+				return fmt.Errorf("%w: tree (%d,%d) has no nodes", ErrMalformed, r, c)
+			}
+			tree := make([]regNode, len(nodes))
+			for i, n := range nodes {
+				if n.Feature >= 0 {
+					if int(n.Feature) >= len(snap.Gain) {
+						return fmt.Errorf("%w: node %d of tree (%d,%d) splits on feature %d of %d",
+							ErrMalformed, i, r, c, n.Feature, len(snap.Gain))
+					}
+					if !childOf(i, n.Left, len(nodes)) || !childOf(i, n.Right, len(nodes)) {
+						return fmt.Errorf("%w: node %d of tree (%d,%d) has invalid children", ErrMalformed, i, r, c)
+					}
+				}
+				tree[i] = regNode{n.Feature, n.Threshold, n.Left, n.Right, n.Weight}
+			}
+			trees[r][c] = regTree{nodes: tree}
+		}
 	}
 	m.P = snap.Params
 	m.classes = snap.Classes
 	m.gain = snap.Gain
-	m.trees = make([][]regTree, len(snap.Trees))
-	for r, round := range snap.Trees {
-		if len(round) != snap.Classes {
-			return fmt.Errorf("xgb: round %d has %d trees, want %d", r, len(round), snap.Classes)
-		}
-		m.trees[r] = make([]regTree, len(round))
-		for c, nodes := range round {
-			tree := make([]regNode, len(nodes))
-			for i, n := range nodes {
-				if n.Feature >= 0 && (n.Left < 0 || n.Right < 0 ||
-					int(n.Left) >= len(nodes) || int(n.Right) >= len(nodes)) {
-					return fmt.Errorf("xgb: node %d of tree (%d,%d) has invalid children", i, r, c)
-				}
-				tree[i] = regNode{n.Feature, n.Threshold, n.Left, n.Right, n.Weight}
-			}
-			m.trees[r][c] = regTree{nodes: tree}
-		}
-	}
+	m.trees = trees
 	return nil
+}
+
+// childOf reports whether child is a valid child index for node i of a
+// tree of size n: strictly after i and inside the tree.
+func childOf(i int, child int32, n int) bool {
+	return int(child) > i && int(child) < n
 }

@@ -91,6 +91,10 @@ func LoadModel(r io.Reader) (*Model, error) {
 	if err := booster.UnmarshalBinary(snap.Booster); err != nil {
 		return nil, err
 	}
+	if classes, width := booster.Dims(); classes != snap.Classes || width != len(snap.Names) {
+		return nil, fmt.Errorf("mvg: model booster has %d classes over %d features, snapshot declares %d over %d",
+			classes, width, snap.Classes, len(snap.Names))
+	}
 	m := &Model{
 		pipe:      p,
 		clf:       booster,

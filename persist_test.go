@@ -3,6 +3,7 @@ package mvg
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"path/filepath"
 	"testing"
 )
@@ -103,5 +104,43 @@ func TestLoadModelGarbage(t *testing.T) {
 	}
 	if _, err := LoadModel(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input should fail")
+	}
+}
+
+// TestLoadModelRejectsMismatchedBooster: a snapshot whose booster predicts
+// a different class count, or reads a different feature width, than the
+// snapshot declares is refused at load rather than at the first predict.
+func TestLoadModelRejectsMismatchedBooster(t *testing.T) {
+	trX, trY, _, _, classes := loadFamily(t, "FreqSines")
+	model, err := trainOnce(trX, trY, classes, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := model.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap modelSnapshot
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(s *modelSnapshot)
+	}{
+		{"classes", func(s *modelSnapshot) { s.Classes++ }},
+		{"width", func(s *modelSnapshot) { s.Names = s.Names[:len(s.Names)-1] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := snap
+			tc.mutate(&bad)
+			var out bytes.Buffer
+			if err := gob.NewEncoder(&out).Encode(bad); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadModel(&out); err == nil {
+				t.Error("mismatched booster loaded")
+			}
+		})
 	}
 }
