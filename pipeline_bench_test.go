@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"mvg/internal/synth"
 )
 
 // BenchmarkPipelineReuse quantifies the tentpole win of the Pipeline API:
@@ -51,5 +53,34 @@ func BenchmarkPipelineReuse(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkTrain runs Pipeline.Train on SynthECG with the quick grid: MVG
+// extraction of 60 series, then the stratified 3-fold grid search and the
+// winner's refit, which take most of the time. Workers is pinned to 1 so
+// allocs/op, the CI-gated metric, does not depend on scheduling.
+func BenchmarkTrain(b *testing.B) {
+	fam, err := synth.ByName("SynthECG")
+	if err != nil {
+		b.Fatal(err)
+	}
+	train, _ := fam.Generate(1)
+	ctx := context.Background()
+	p, err := NewPipeline(Config{Seed: 1, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	// Warm the extraction scratch, as a pipeline that trains repeatedly is.
+	if _, err := p.Train(ctx, train.Series, train.Labels, fam.Classes); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Train(ctx, train.Series, train.Labels, fam.Classes); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -64,3 +64,15 @@ func TestTrainGoldenHashes(t *testing.T) {
 		}
 	}
 }
+
+// TestTrainBytesIndependentOfWorkers: grid-search jobs run on the
+// pipeline's pool, and the saved model must not depend on how many
+// workers share them.
+func TestTrainBytesIndependentOfWorkers(t *testing.T) {
+	want := savedModelHash(t, "SynthECG", Config{Seed: 1, Workers: 1})
+	for _, workers := range []int{2, 8} {
+		if got := savedModelHash(t, "SynthECG", Config{Seed: 1, Workers: workers}); got != want {
+			t.Errorf("Workers %d: saved model hash %s, Workers 1 saved %s", workers, got, want)
+		}
+	}
+}
