@@ -71,7 +71,7 @@ var ErrMalformed = errors.New("xgb: malformed model")
 func (m *Model) UnmarshalBinary(data []byte) error {
 	var snap modelSnapshot
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return fmt.Errorf("%w: decode: %v", ErrMalformed, err)
+		return fmt.Errorf("%w: decode: %w", ErrMalformed, err)
 	}
 	if snap.Classes < 2 || len(snap.Trees) == 0 {
 		return fmt.Errorf("%w: %d classes, %d rounds", ErrMalformed, snap.Classes, len(snap.Trees))
