@@ -133,7 +133,8 @@ func (m *Model) PrefixOf(c ml.Classifier) (int, bool) {
 func (m *Model) Truncate(k int) ml.Classifier {
 	p := m.P
 	p.NumRounds = k
-	return &Model{P: p, classes: m.classes, trees: m.trees[:k:k], gain: make([]float64, len(m.gain))}
+	// A copy of the round list: a later Fit of m reuses its backing array.
+	return &Model{P: p, classes: m.classes, trees: slices.Clone(m.trees[:k]), gain: make([]float64, len(m.gain))}
 }
 
 // Name implements ml.Named.

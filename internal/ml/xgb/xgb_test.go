@@ -1,6 +1,7 @@
 package xgb
 
 import (
+	"math"
 	"testing"
 
 	"mvg/internal/ml"
@@ -99,6 +100,54 @@ func TestDeterministic(t *testing.T) {
 	}
 	if run() != run() {
 		t.Error("boosting is not deterministic under a fixed seed")
+	}
+}
+
+// TestTruncateIsTheShorterFit: the first k rounds of a longer fit are the
+// k-round fit, so their predictions agree bit for bit, and refitting the
+// longer model afterwards leaves the truncation as it was.
+func TestTruncateIsTheShorterFit(t *testing.T) {
+	X, y := mltest.Blobs(90, 3, 6, 1.5, 17)
+	p := Params{NumRounds: 20, MaxDepth: 4, Subsample: 0.5, ColsampleByTree: 0.5, Seed: 3}
+	long, short := New(p), New(p)
+	short.P.NumRounds = 8
+	for _, m := range []*Model{long, short} {
+		if err := m.Fit(X, y, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k, ok := long.PrefixOf(short)
+	if !ok || k != 8 {
+		t.Fatalf("PrefixOf(8-round fit) = %d, %v; want 8, true", k, ok)
+	}
+	for _, other := range []Params{
+		{NumRounds: 30, MaxDepth: 4, Subsample: 0.5, ColsampleByTree: 0.5, Seed: 3}, // more rounds
+		{NumRounds: 8, MaxDepth: 5, Subsample: 0.5, ColsampleByTree: 0.5, Seed: 3},
+		{NumRounds: 8, MaxDepth: 4, Subsample: 0.5, ColsampleByTree: 0.5, Seed: 4},
+	} {
+		if _, ok := long.PrefixOf(New(other)); ok {
+			t.Errorf("PrefixOf(%+v) = true", other)
+		}
+	}
+	cut := long.Truncate(k)
+	want, err := short.PredictProba(X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	X2, y2 := mltest.Blobs(60, 3, 6, 1.5, 18)
+	if err := long.Fit(X2, y2, 3); err != nil {
+		t.Fatal(err)
+	}
+	got, err := cut.PredictProba(X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		for c := range want[i] {
+			if math.Float64bits(got[i][c]) != math.Float64bits(want[i][c]) {
+				t.Fatalf("row %d class %d: truncated %v, 8-round fit %v", i, c, got[i][c], want[i][c])
+			}
+		}
 	}
 }
 
