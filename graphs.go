@@ -3,9 +3,9 @@ package mvg
 import (
 	"fmt"
 
+	"mvg/internal/core"
 	"mvg/internal/graph"
 	"mvg/internal/motif"
-	"mvg/internal/timeseries"
 	"mvg/internal/visibility"
 )
 
@@ -87,16 +87,14 @@ func MultiscaleLengths(n, tau int) ([]int, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("mvg: series too short: %d", n)
 	}
-	if tau == 0 {
-		tau = timeseries.DefaultTau
+	e, err := core.NewExtractor(core.Options{Tau: tau})
+	if err != nil {
+		return nil, err
 	}
-	if tau < 2 {
-		tau = 2
-	}
-	lengths := []int{n}
-	for n/2 > tau {
+	lengths := make([]int, e.NumScales(n))
+	for i := range lengths {
+		lengths[i] = n
 		n /= 2
-		lengths = append(lengths, n)
 	}
 	return lengths, nil
 }

@@ -109,8 +109,8 @@ func (e *Extractor) scalesInto(sc *Scratch, series []float64) ([][]float64, erro
 		set = append(set, t)
 	}
 	if e.opts.Scales != Uniscale {
-		// This loop is the in-buffer counterpart of timeseries.Multiscale;
-		// its stop condition must stay in lockstep with NumScales.
+		// Definition 3.1's halvings; the stop condition must stay in
+		// lockstep with NumScales.
 		cur := t
 		for level := 0; len(cur)/2 > e.tau; level++ {
 			if level == len(sc.pyramid) {
@@ -133,24 +133,18 @@ func (e *Extractor) scalesInto(sc *Scratch, series []float64) ([][]float64, erro
 // under the extractor's configuration. Labels in FeatureNames use the
 // convention T0 = original series, Ti = i-th halving, so AMVG starts at T1.
 func (e *Extractor) NumScales(n int) int {
-	count := 0
-	switch e.opts.Scales {
-	case Uniscale:
+	if e.opts.Scales == Uniscale {
 		return 1
-	case ApproxMultiscale:
-		for n/2 > e.tau {
-			n /= 2
-			count++
-		}
-		return count
-	default:
-		count = 1
-		for n/2 > e.tau {
-			n /= 2
-			count++
-		}
-		return count
 	}
+	count := 0
+	if e.opts.Scales == FullMultiscale {
+		count = 1 // T0
+	}
+	for n/2 > e.tau {
+		n /= 2
+		count++
+	}
+	return count
 }
 
 // NumFeatures returns the feature-vector length for series of length n.

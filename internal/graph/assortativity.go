@@ -13,7 +13,6 @@ func (g *Graph) Assortativity() (float64, bool) {
 	if g.m == 0 {
 		return 0, false
 	}
-	g.ensureBuilt()
 	offs, nbrs := g.offsets, g.neighbors
 	var s degreeSums
 	for u := 0; u < g.N(); u++ {

@@ -31,7 +31,6 @@ func (g *Graph) DegreeEntropyScratch(s *CoreScratch) float64 {
 	if n == 0 {
 		return 0
 	}
-	g.ensureBuilt()
 	maxDeg := 0
 	for v := 0; v < n; v++ {
 		if d := int(g.offsets[v+1] - g.offsets[v]); d > maxDeg {
@@ -61,7 +60,6 @@ func (g *Graph) DegreeEntropyScratch(s *CoreScratch) float64 {
 // O(Σ_v d_v · d̄) time via merge-scan intersection of contiguous CSR rows,
 // visiting each edge once through the forward ranges.
 func (g *Graph) Transitivity() float64 {
-	g.ensureBuilt()
 	offs, nbrs := g.offsets, g.neighbors
 	fwd := g.forward
 	var wedges, triangles3 int64 // triangles3 = 3 × #triangles = Σ_e tri_e

@@ -12,10 +12,10 @@ func TestDegreeEntropyKnown(t *testing.T) {
 	if h := complete(5).DegreeEntropy(); h != 0 {
 		t.Errorf("K5 degree entropy = %v, want 0", h)
 	}
-	if h := New(4).DegreeEntropy(); h != 0 {
+	if h := edgeless(4).DegreeEntropy(); h != 0 {
 		t.Errorf("edgeless entropy = %v, want 0", h)
 	}
-	if h := New(0).DegreeEntropy(); h != 0 {
+	if h := edgeless(0).DegreeEntropy(); h != 0 {
 		t.Errorf("empty graph entropy = %v", h)
 	}
 	// Path on 4 vertices: degrees 1,2,2,1 → two equiprobable values → 1 bit.
@@ -23,10 +23,7 @@ func TestDegreeEntropyKnown(t *testing.T) {
 		t.Errorf("P4 degree entropy = %v, want 1", h)
 	}
 	// Star on 5: degrees {4:1, 1:4} → H = -(0.2 log 0.2 + 0.8 log 0.8).
-	g := New(5)
-	for i := 1; i < 5; i++ {
-		_ = g.AddEdge(0, i)
-	}
+	g := FromEdgesUnchecked(5, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}})
 	want := -(0.2*math.Log2(0.2) + 0.8*math.Log2(0.8))
 	if h := g.DegreeEntropy(); !almost(h, want) {
 		t.Errorf("star entropy = %v, want %v", h, want)
@@ -40,16 +37,12 @@ func TestTransitivityKnown(t *testing.T) {
 	if tr := path(5).Transitivity(); tr != 0 {
 		t.Errorf("path transitivity = %v, want 0", tr)
 	}
-	if tr := New(3).Transitivity(); tr != 0 {
+	if tr := edgeless(3).Transitivity(); tr != 0 {
 		t.Errorf("edgeless transitivity = %v, want 0", tr)
 	}
 	// Paw: triangle a,b,c + pendant d on a.
 	// Triangles = 1 (×3 = 3); wedges: deg 3,2,2,1 → 3+1+1+0 = 5.
-	g := New(4)
-	_ = g.AddEdge(0, 1)
-	_ = g.AddEdge(1, 2)
-	_ = g.AddEdge(0, 2)
-	_ = g.AddEdge(0, 3)
+	g := FromEdgesUnchecked(4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {0, 3}})
 	if tr := g.Transitivity(); !almost(tr, 3.0/5) {
 		t.Errorf("paw transitivity = %v, want 0.6", tr)
 	}

@@ -19,8 +19,6 @@
 package graph
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 
 	"mvg/internal/buf"
@@ -30,37 +28,21 @@ import (
 // adjacency rows stored in compressed-sparse-row form and no self-loops or
 // parallel edges.
 //
-// The flat edge list (elist) is the construction-time source of truth;
-// the CSR arrays are (re)built from it lazily after mutation. Bulk
-// constructors (BuildUnchecked, FromEdges*) build eagerly, so the hot
-// extraction path never takes the lazy branch. All backing arrays are
-// retained across Reset/BuildUnchecked, so rebuilding a graph of similar
-// size performs no allocations.
+// A graph is built in one pass from a whole edge list (BuildUnchecked,
+// FromEdgesUnchecked, RingGraph.ToCSR) and is read-only afterwards. All
+// backing arrays are retained across BuildUnchecked, so rebuilding a graph
+// of similar size performs no allocations.
 type Graph struct {
 	n         int
 	m         int     // number of edges
-	offsets   []int32 // len n+1 when built; row v is neighbors[offsets[v]:offsets[v+1]]
-	neighbors []int32 // len 2m when built; each row sorted ascending
-	forward   []int32 // len n when built; index in neighbors of the first entry of row v that is > v
+	offsets   []int32 // len n+1; row v is neighbors[offsets[v]:offsets[v+1]]
+	neighbors []int32 // len 2m; each row sorted ascending
+	forward   []int32 // len n; index in neighbors of the first entry of row v that is > v
 
-	elist []int32 // flat (u,v) edge pairs, len 2m
-	dirty bool    // elist has edges not yet folded into the CSR arrays
+	elist []int32 // flat (u,v) edge pairs, len 2m: the input of build
 
 	scatter []int32 // counting-sort work array: arc sources grouped by destination
 	cursor  []int32 // counting-sort work array: per-vertex write cursors
-}
-
-// ErrVertexRange is returned when an edge endpoint is out of range.
-var ErrVertexRange = errors.New("graph: vertex out of range")
-
-// New returns an empty graph with n vertices.
-func New(n int) *Graph {
-	if n < 0 {
-		n = 0
-	}
-	g := &Graph{}
-	g.Reset(n)
-	return g
 }
 
 // N returns the number of vertices.
@@ -69,95 +51,26 @@ func (g *Graph) N() int { return g.n }
 // M returns the number of edges.
 func (g *Graph) M() int { return g.m }
 
-// ensureBuilt folds pending edges into the CSR arrays. Bulk-built graphs
-// are always built; only the incremental AddEdge path goes lazy.
-func (g *Graph) ensureBuilt() {
-	if g.dirty {
-		g.build()
-	}
-}
-
-// row returns the sorted adjacency row of v. Internal consumers call it
-// after ensureBuilt; the public accessor is Neighbors.
-func (g *Graph) row(v int) []int32 {
-	return g.neighbors[g.offsets[v]:g.offsets[v+1]]
-}
-
 // Degree returns the degree of vertex v.
 func (g *Graph) Degree(v int) int {
-	g.ensureBuilt()
 	return int(g.offsets[v+1] - g.offsets[v])
 }
 
 // Neighbors returns the sorted adjacency row of v. The returned slice is a
 // view into the graph's flat neighbor array and must not be modified; it is
-// valid until the graph is next mutated or rebuilt.
+// valid until the graph is next rebuilt.
 func (g *Graph) Neighbors(v int) []int32 {
-	g.ensureBuilt()
-	return g.row(v)
+	return g.neighbors[g.offsets[v]:g.offsets[v+1]]
 }
 
-// AddEdge inserts the undirected edge (u,v). Self-loops and duplicate edges
-// are rejected with an error. The CSR arrays are rebuilt lazily on the next
-// read; incremental insertion is intended for small test graphs, while bulk
-// construction goes through BuildUnchecked/FromEdges.
-func (g *Graph) AddEdge(u, v int) error {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return fmt.Errorf("%w: (%d,%d) with n=%d", ErrVertexRange, u, v, g.n)
-	}
-	if u == v {
-		return fmt.Errorf("graph: self-loop at %d", u)
-	}
-	u32, v32 := int32(u), int32(v)
-	for i := 0; i < len(g.elist); i += 2 {
-		a, b := g.elist[i], g.elist[i+1]
-		if (a == u32 && b == v32) || (a == v32 && b == u32) {
-			return fmt.Errorf("graph: duplicate edge (%d,%d)", u, v)
-		}
-	}
-	g.elist = append(g.elist, u32, v32)
-	g.m++
-	g.dirty = true
-	return nil
-}
-
-// FromEdges builds a graph on n vertices from an edge list. Duplicate edges
-// and self-loops are rejected.
-func FromEdges(n int, edges [][2]int) (*Graph, error) {
-	g := New(n)
-	for _, e := range edges {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			return nil, err
-		}
-	}
-	g.ensureBuilt()
-	return g, nil
-}
-
-// FromEdgesUnchecked builds a graph from a known-valid, duplicate-free edge
-// list (as produced by the visibility-graph constructors) without the
-// per-edge membership checks of FromEdges.
+// FromEdgesUnchecked builds a graph on n vertices from a known-valid edge
+// list (as produced by the visibility-graph constructors): every endpoint
+// in [0, n), no self-loops and no edge listed twice in either orientation.
+// Nothing is checked.
 func FromEdgesUnchecked(n int, edges [][2]int) *Graph {
 	g := &Graph{}
 	g.BuildUnchecked(n, edges)
 	return g
-}
-
-// Reset reinitializes g in place to an edgeless graph on n vertices,
-// retaining previously allocated storage so that rebuilding a graph of
-// similar size performs no allocations. The zero Graph value is ready for
-// Reset.
-func (g *Graph) Reset(n int) {
-	if n < 0 {
-		n = 0
-	}
-	g.n = n
-	g.m = 0
-	g.elist = g.elist[:0]
-	g.offsets = buf.GrowZero(g.offsets, n+1)
-	g.forward = buf.GrowZero(g.forward, n)
-	g.neighbors = g.neighbors[:0]
-	g.dirty = false
 }
 
 // BuildUnchecked resets g to n vertices and bulk-loads a known-valid,
@@ -238,18 +151,16 @@ func (g *Graph) build() {
 			cursor[s]++
 		}
 	}
-	g.dirty = false
 }
 
 // CSR returns the graph's flat compressed-sparse-row arrays: offsets has
 // length N()+1 and neighbors concatenates the sorted adjacency rows (length
 // 2·M()), with row v at neighbors[offsets[v]:offsets[v+1]]. Feature kernels
 // (motif counting, core decomposition) hoist these once and index directly,
-// avoiding a method call and dirty-check per inner-loop row access. The
-// returned slices are owned by the graph, must not be modified, and are
-// valid until the graph is next mutated or rebuilt.
+// avoiding a method call per inner-loop row access. The returned slices are
+// owned by the graph, must not be modified, and are valid until the graph
+// is next rebuilt.
 func (g *Graph) CSR() (offsets, neighbors []int32) {
-	g.ensureBuilt()
 	return g.offsets, g.neighbors
 }
 
@@ -261,7 +172,6 @@ func (g *Graph) CSR() (offsets, neighbors []int32) {
 // enumerate each edge or triangle once iterate forward ranges instead of
 // filtering full rows. Ownership and validity follow CSR.
 func (g *Graph) Forward() []int32 {
-	g.ensureBuilt()
 	return g.forward
 }
 
@@ -270,10 +180,9 @@ func (g *Graph) HasEdge(u, v int) bool {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n || u == v {
 		return false
 	}
-	g.ensureBuilt()
 	// Search the shorter row.
-	a := g.row(u)
-	if b := g.row(v); len(b) < len(a) {
+	a := g.Neighbors(u)
+	if b := g.Neighbors(v); len(b) < len(a) {
 		a = b
 		v = u
 	}
@@ -283,10 +192,9 @@ func (g *Graph) HasEdge(u, v int) bool {
 
 // Edges returns all edges as (u,v) pairs with u < v, in vertex order.
 func (g *Graph) Edges() [][2]int {
-	g.ensureBuilt()
 	out := make([][2]int, 0, g.m)
 	for u := 0; u < g.n; u++ {
-		for _, v := range g.row(u) {
+		for _, v := range g.Neighbors(u) {
 			if int(v) > u {
 				out = append(out, [2]int{u, int(v)})
 			}
@@ -304,7 +212,6 @@ func (g *Graph) Degrees() []int {
 // and returns the filled slice. Passing a reused buffer avoids the
 // allocation of Degrees.
 func (g *Graph) DegreesInto(dst []int) []int {
-	g.ensureBuilt()
 	dst = buf.Grow(dst, g.n)
 	for v := 0; v < g.n; v++ {
 		dst[v] = int(g.offsets[v+1] - g.offsets[v])
@@ -328,7 +235,6 @@ func (g *Graph) DegreeStats() (maxDeg, minDeg int, meanDeg float64) {
 	if g.n == 0 {
 		return 0, 0, 0
 	}
-	g.ensureBuilt()
 	maxDeg = int(g.offsets[1])
 	minDeg = maxDeg
 	for v := 1; v < g.n; v++ {
@@ -350,7 +256,6 @@ func (g *Graph) IsConnected() bool {
 	if n <= 1 {
 		return true
 	}
-	g.ensureBuilt()
 	seen := make([]bool, n)
 	stack := []int{0}
 	seen[0] = true
@@ -358,7 +263,7 @@ func (g *Graph) IsConnected() bool {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, w := range g.row(v) {
+		for _, w := range g.Neighbors(v) {
 			if !seen[w] {
 				seen[w] = true
 				count++

@@ -9,71 +9,42 @@ import (
 
 // path builds a path graph 0-1-2-...-n-1.
 func path(n int) *Graph {
-	g := New(n)
+	var edges [][2]int
 	for i := 0; i+1 < n; i++ {
-		if err := g.AddEdge(i, i+1); err != nil {
-			panic(err)
-		}
+		edges = append(edges, [2]int{i, i + 1})
 	}
-	return g
+	return FromEdgesUnchecked(n, edges)
 }
 
 // complete builds K_n.
 func complete(n int) *Graph {
-	g := New(n)
+	var edges [][2]int
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if err := g.AddEdge(i, j); err != nil {
-				panic(err)
-			}
+			edges = append(edges, [2]int{i, j})
 		}
 	}
-	return g
+	return FromEdgesUnchecked(n, edges)
 }
 
 // randomGraph builds a G(n,p) graph.
 func randomGraph(n int, p float64, rng *rand.Rand) *Graph {
-	g := New(n)
+	var edges [][2]int
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if rng.Float64() < p {
-				_ = g.AddEdge(i, j)
+				edges = append(edges, [2]int{i, j})
 			}
 		}
 	}
-	return g
+	return FromEdgesUnchecked(n, edges)
 }
 
-func TestAddEdgeValidation(t *testing.T) {
-	g := New(3)
-	if err := g.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(0, 1); err == nil {
-		t.Error("duplicate edge should fail")
-	}
-	if err := g.AddEdge(1, 0); err == nil {
-		t.Error("reversed duplicate edge should fail")
-	}
-	if err := g.AddEdge(1, 1); err == nil {
-		t.Error("self-loop should fail")
-	}
-	if err := g.AddEdge(0, 3); err == nil {
-		t.Error("out-of-range vertex should fail")
-	}
-	if err := g.AddEdge(-1, 0); err == nil {
-		t.Error("negative vertex should fail")
-	}
-	if g.M() != 1 {
-		t.Errorf("M = %d, want 1", g.M())
-	}
-}
+// edgeless builds n isolated vertices.
+func edgeless(n int) *Graph { return FromEdgesUnchecked(n, nil) }
 
 func TestHasEdgeAndNeighbors(t *testing.T) {
-	g, err := FromEdges(4, [][2]int{{0, 2}, {0, 1}, {2, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := FromEdgesUnchecked(4, [][2]int{{0, 2}, {0, 1}, {2, 3}})
 	if !g.HasEdge(0, 2) || !g.HasEdge(2, 0) {
 		t.Error("edge (0,2) missing")
 	}
@@ -91,10 +62,7 @@ func TestHasEdgeAndNeighbors(t *testing.T) {
 
 func TestEdgesRoundTrip(t *testing.T) {
 	want := [][2]int{{0, 1}, {0, 3}, {1, 2}, {2, 3}}
-	g, err := FromEdges(4, want)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := FromEdgesUnchecked(4, want)
 	got := g.Edges()
 	if len(got) != len(want) {
 		t.Fatalf("Edges() len = %d, want %d", len(got), len(want))
@@ -114,10 +82,10 @@ func TestDensity(t *testing.T) {
 	if d := complete(5).Density(); !almost(d, 1) {
 		t.Errorf("K5 density = %v, want 1", d)
 	}
-	if d := New(5).Density(); d != 0 {
+	if d := edgeless(5).Density(); d != 0 {
 		t.Errorf("empty graph density = %v", d)
 	}
-	if d := New(1).Density(); d != 0 {
+	if d := edgeless(1).Density(); d != 0 {
 		t.Errorf("single vertex density = %v", d)
 	}
 	if d := path(5).Density(); !almost(d, 2.0*4/(5*4)) {
@@ -131,7 +99,7 @@ func TestDegreeStats(t *testing.T) {
 	if maxD != 2 || minD != 1 || !almost(mean, 1.5) {
 		t.Errorf("DegreeStats = %d,%d,%v", maxD, minD, mean)
 	}
-	maxD, minD, mean = New(0).DegreeStats()
+	maxD, minD, mean = edgeless(0).DegreeStats()
 	if maxD != 0 || minD != 0 || mean != 0 {
 		t.Error("empty graph degree stats should be zero")
 	}
@@ -141,25 +109,18 @@ func TestIsConnected(t *testing.T) {
 	if !path(6).IsConnected() {
 		t.Error("path should be connected")
 	}
-	g := New(4)
-	_ = g.AddEdge(0, 1)
-	_ = g.AddEdge(2, 3)
+	g := FromEdgesUnchecked(4, [][2]int{{0, 1}, {2, 3}})
 	if g.IsConnected() {
 		t.Error("two components should not be connected")
 	}
-	if !New(1).IsConnected() || !New(0).IsConnected() {
+	if !edgeless(1).IsConnected() || !edgeless(0).IsConnected() {
 		t.Error("trivial graphs count as connected")
 	}
 }
 
 func TestCoreNumbersKnown(t *testing.T) {
 	// K4 plus a pendant: core numbers 3,3,3,3,1.
-	g := complete(4)
-	h := New(5)
-	for _, e := range g.Edges() {
-		_ = h.AddEdge(e[0], e[1])
-	}
-	_ = h.AddEdge(3, 4)
+	h := FromEdgesUnchecked(5, append(complete(4).Edges(), [2]int{3, 4}))
 	cores := h.CoreNumbers()
 	want := []int{3, 3, 3, 3, 1}
 	for v, c := range cores {
@@ -181,14 +142,13 @@ func TestCoreNumbersPathAndCycle(t *testing.T) {
 		t.Errorf("path degeneracy = %d, want 1", d)
 	}
 	// Cycle: every vertex has core number 2.
-	g := path(6)
-	_ = g.AddEdge(0, 5)
+	g := FromEdgesUnchecked(6, append(path(6).Edges(), [2]int{0, 5}))
 	for v, c := range g.CoreNumbers() {
 		if c != 2 {
 			t.Errorf("cycle core[%d] = %d, want 2", v, c)
 		}
 	}
-	if New(3).Degeneracy() != 0 {
+	if edgeless(3).Degeneracy() != 0 {
 		t.Error("edgeless graph degeneracy should be 0")
 	}
 }
@@ -315,10 +275,7 @@ func meanOf(x []float64) float64 {
 
 func TestAssortativityKnown(t *testing.T) {
 	// A star graph is maximally disassortative: r = -1.
-	g := New(6)
-	for i := 1; i < 6; i++ {
-		_ = g.AddEdge(0, i)
-	}
+	g := FromEdgesUnchecked(6, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}})
 	r, ok := g.Assortativity()
 	if !ok || !almost(r, -1) {
 		t.Errorf("star assortativity = %v ok=%v, want -1", r, ok)
@@ -327,7 +284,7 @@ func TestAssortativityKnown(t *testing.T) {
 	if _, ok := complete(5).Assortativity(); ok {
 		t.Error("K5 assortativity should be undefined")
 	}
-	if _, ok := New(4).Assortativity(); ok {
+	if _, ok := edgeless(4).Assortativity(); ok {
 		t.Error("edgeless assortativity should be undefined")
 	}
 }

@@ -23,7 +23,6 @@ func (g *Graph) CoreNumbers() []int {
 // returned slice aliases s and is valid until the next call with the same
 // scratch.
 func (g *Graph) CoreNumbersScratch(s *CoreScratch) []int {
-	g.ensureBuilt()
 	n := g.N()
 	// No zero-fill needed: the peel loop assigns core[v] for every vertex.
 	s.core = buf.Grow(s.core, n)

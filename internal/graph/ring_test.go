@@ -34,13 +34,11 @@ func (w *refWindow) evict() {
 }
 
 func (w *refWindow) graph() *Graph {
-	g := New(w.count)
+	edges := make([][2]int, 0, len(w.edges))
 	for e := range w.edges {
-		if err := g.AddEdge(e[0]-w.start, e[1]-w.start); err != nil {
-			panic(err)
-		}
+		edges = append(edges, [2]int{e[0] - w.start, e[1] - w.start})
 	}
-	return g
+	return FromEdgesUnchecked(w.count, edges)
 }
 
 func identicalCSR(t *testing.T, got, want *Graph) {

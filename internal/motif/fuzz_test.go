@@ -16,21 +16,21 @@ const maxFuzzSeries = 24
 // Missing bytes read as zero bits.
 func graphFromBytes(data []byte) *graph.Graph {
 	if len(data) == 0 {
-		return graph.New(0)
+		return graph.FromEdgesUnchecked(0, nil)
 	}
 	n := int(data[0]) % 17
 	bits := data[1:]
-	g := graph.New(n)
+	var edges [][2]int
 	k := 0
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if k/8 < len(bits) && bits[k/8]>>(k%8)&1 == 1 {
-				_ = g.AddEdge(i, j)
+				edges = append(edges, [2]int{i, j})
 			}
 			k++
 		}
 	}
-	return g
+	return graph.FromEdgesUnchecked(n, edges)
 }
 
 // tieSeriesFromBytes decodes fuzz bytes into a series on five levels, one

@@ -11,37 +11,42 @@ import (
 )
 
 func randomGraph(n int, p float64, rng *rand.Rand) *graph.Graph {
-	g := graph.New(n)
+	var edges [][2]int
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if rng.Float64() < p {
-				_ = g.AddEdge(i, j)
+				edges = append(edges, [2]int{i, j})
 			}
 		}
 	}
-	return g
+	return graph.FromEdgesUnchecked(n, edges)
 }
 
 func complete(n int) *graph.Graph {
-	g := graph.New(n)
+	var edges [][2]int
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			_ = g.AddEdge(i, j)
+			edges = append(edges, [2]int{i, j})
 		}
 	}
-	return g
+	return graph.FromEdgesUnchecked(n, edges)
+}
+
+// fromEdges builds a graph on n vertices from a hand-written edge list.
+func fromEdges(n int, list ...[2]int) *graph.Graph {
+	return graph.FromEdgesUnchecked(n, list)
 }
 
 func TestCountEmptyAndTiny(t *testing.T) {
-	c := Count(graph.New(0))
+	c := Count(fromEdges(0))
 	if c != (Counts{}) {
 		t.Errorf("empty graph counts = %+v", c)
 	}
-	c = Count(graph.New(1))
+	c = Count(fromEdges(1))
 	if c != (Counts{}) {
 		t.Errorf("single vertex counts = %+v", c)
 	}
-	c = Count(graph.New(2))
+	c = Count(fromEdges(2))
 	if c.M22 != 1 || c.M21 != 0 {
 		t.Errorf("two isolated vertices: %+v", c)
 	}
@@ -81,10 +86,7 @@ func TestCountK5(t *testing.T) {
 
 func TestCountStar(t *testing.T) {
 	// Star with center 0 and 4 leaves: claws = C(4,3) = 4.
-	g := graph.New(5)
-	for i := 1; i < 5; i++ {
-		_ = g.AddEdge(0, i)
-	}
+	g := fromEdges(5, [2]int{0, 1}, [2]int{0, 2}, [2]int{0, 3}, [2]int{0, 4})
 	c := Count(g)
 	if c.M45 != 4 {
 		t.Errorf("star claw count = %d, want 4", c.M45)
@@ -99,11 +101,7 @@ func TestCountStar(t *testing.T) {
 }
 
 func TestCountCycle4(t *testing.T) {
-	g := graph.New(4)
-	_ = g.AddEdge(0, 1)
-	_ = g.AddEdge(1, 2)
-	_ = g.AddEdge(2, 3)
-	_ = g.AddEdge(3, 0)
+	g := fromEdges(4, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 0})
 	c := Count(g)
 	if c.M44 != 1 {
 		t.Errorf("C4 cycle count = %d, want 1", c.M44)
@@ -115,36 +113,21 @@ func TestCountCycle4(t *testing.T) {
 
 func TestCountDiamondPawPath(t *testing.T) {
 	// Diamond: K4 minus one edge.
-	g := complete(4)
-	edges := g.Edges()
-	d := graph.New(4)
-	for _, e := range edges {
-		if e[0] == 0 && e[1] == 1 {
-			continue
-		}
-		_ = d.AddEdge(e[0], e[1])
-	}
+	d := fromEdges(4, [2]int{0, 2}, [2]int{0, 3}, [2]int{1, 2}, [2]int{1, 3}, [2]int{2, 3})
 	c := Count(d)
 	if c.M42 != 1 {
 		t.Errorf("diamond count = %d, want 1 (%+v)", c.M42, c)
 	}
 
 	// Paw: triangle 0-1-2 plus pendant 3 on 0.
-	p := graph.New(4)
-	_ = p.AddEdge(0, 1)
-	_ = p.AddEdge(1, 2)
-	_ = p.AddEdge(0, 2)
-	_ = p.AddEdge(0, 3)
+	p := fromEdges(4, [2]int{0, 1}, [2]int{1, 2}, [2]int{0, 2}, [2]int{0, 3})
 	c = Count(p)
 	if c.M43 != 1 {
 		t.Errorf("paw count = %d, want 1 (%+v)", c.M43, c)
 	}
 
 	// Path on 4 vertices.
-	q := graph.New(4)
-	_ = q.AddEdge(0, 1)
-	_ = q.AddEdge(1, 2)
-	_ = q.AddEdge(2, 3)
+	q := fromEdges(4, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3})
 	c = Count(q)
 	if c.M46 != 1 {
 		t.Errorf("P4 count = %d, want 1 (%+v)", c.M46, c)
@@ -153,43 +136,35 @@ func TestCountDiamondPawPath(t *testing.T) {
 
 func TestCountDisconnectedMotifs(t *testing.T) {
 	// Triangle plus isolated vertex.
-	g := graph.New(4)
-	_ = g.AddEdge(0, 1)
-	_ = g.AddEdge(1, 2)
-	_ = g.AddEdge(0, 2)
+	g := fromEdges(4, [2]int{0, 1}, [2]int{1, 2}, [2]int{0, 2})
 	c := Count(g)
 	if c.M47 != 1 {
 		t.Errorf("triangle+isolate = %d, want 1 (%+v)", c.M47, c)
 	}
 
 	// Two independent edges.
-	h := graph.New(4)
-	_ = h.AddEdge(0, 1)
-	_ = h.AddEdge(2, 3)
+	h := fromEdges(4, [2]int{0, 1}, [2]int{2, 3})
 	c = Count(h)
 	if c.M49 != 1 {
 		t.Errorf("2K2 = %d, want 1 (%+v)", c.M49, c)
 	}
 
 	// Wedge plus isolate.
-	w := graph.New(4)
-	_ = w.AddEdge(0, 1)
-	_ = w.AddEdge(1, 2)
+	w := fromEdges(4, [2]int{0, 1}, [2]int{1, 2})
 	c = Count(w)
 	if c.M48 != 1 {
 		t.Errorf("wedge+isolate = %d, want 1 (%+v)", c.M48, c)
 	}
 
 	// Single edge and two isolates.
-	e := graph.New(4)
-	_ = e.AddEdge(0, 1)
+	e := fromEdges(4, [2]int{0, 1})
 	c = Count(e)
 	if c.M410 != 1 {
 		t.Errorf("edge+2 isolates = %d, want 1 (%+v)", c.M410, c)
 	}
 
 	// Empty on 4.
-	c = Count(graph.New(4))
+	c = Count(fromEdges(4))
 	if c.M411 != 1 {
 		t.Errorf("empty 4-set = %d, want 1 (%+v)", c.M411, c)
 	}

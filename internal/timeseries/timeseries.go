@@ -1,7 +1,8 @@
 // Package timeseries provides the numeric time-series substrate used by the
 // MVG pipeline: validation, normalization, detrending, piecewise aggregate
-// approximation (PAA), the multiscale pyramid of Definition 3.1/3.2 of the
-// paper, and summary statistics.
+// approximation (PAA) and its halving step, and summary statistics. The
+// multiscale pyramid of Definitions 3.1/3.2 is built from HalveInto by
+// core.Extractor.
 //
 // A time series is a plain []float64 (Definition 2.1 in the paper); the
 // package works on slices directly so callers can reuse buffers.
@@ -34,13 +35,6 @@ func Validate(t []float64) error {
 		}
 	}
 	return nil
-}
-
-// Clone returns an independent copy of t.
-func Clone(t []float64) []float64 {
-	out := make([]float64, len(t))
-	copy(out, t)
-	return out
 }
 
 // Mean returns the arithmetic mean of t, or 0 for an empty series.
@@ -208,14 +202,9 @@ func PAAInto(dst []float64, t []float64, s int) ([]float64, error) {
 	return out, nil
 }
 
-// Halve is PAA downscaling by a factor of exactly two (the multiscale step).
-// An odd trailing sample is averaged into the final segment.
-func Halve(t []float64) ([]float64, error) {
-	return HalveInto(nil, t)
-}
-
-// HalveInto is Halve writing into dst's storage (grown as needed). dst must
-// not alias t.
+// HalveInto is PAA downscaling by a factor of exactly two (the multiscale
+// step), writing into dst's storage (grown as needed). An odd trailing
+// sample is averaged into the final segment. dst must not alias t.
 func HalveInto(dst, t []float64) ([]float64, error) {
 	n := len(t)
 	if n < 2 {
@@ -226,45 +215,8 @@ func HalveInto(dst, t []float64) ([]float64, error) {
 
 // DefaultTau is the default minimum length for multiscale approximations
 // (Definition 3.1): scales shorter than this are considered trivial graphs
-// and are not generated. The paper suggests τ = 15 as an optimization; τ=0
-// is also valid since feature selection happens during classification.
+// and are not generated. The paper suggests τ = 15 as an optimization; a
+// smaller threshold is also valid since feature selection happens during
+// classification (core.Options.Tau: zero means this default, a negative
+// value means no threshold).
 const DefaultTau = 15
-
-// Multiscale returns the approximated multiscale representation
-// (T1, T2, ..., Tm) of Definition 3.1: successive PAA halvings of t with
-// every scale longer than tau. The original series is NOT included; see
-// MultiscaleFull for Definition 3.2. tau < 2 is treated as 2 because a
-// visibility graph needs at least two vertices.
-func Multiscale(t []float64, tau int) ([][]float64, error) {
-	if err := Validate(t); err != nil {
-		return nil, err
-	}
-	if tau < 2 {
-		tau = 2
-	}
-	var scales [][]float64
-	cur := t
-	for len(cur)/2 > tau {
-		next, err := Halve(cur)
-		if err != nil {
-			return nil, err
-		}
-		scales = append(scales, next)
-		cur = next
-	}
-	return scales, nil
-}
-
-// MultiscaleFull returns the full multiscale representation
-// (T0, T1, ..., Tm) of Definition 3.2: the original series followed by its
-// approximated multiscale representation.
-func MultiscaleFull(t []float64, tau int) ([][]float64, error) {
-	scales, err := Multiscale(t, tau)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]float64, 0, len(scales)+1)
-	out = append(out, Clone(t))
-	out = append(out, scales...)
-	return out, nil
-}

@@ -162,49 +162,6 @@ func TestPAAMeanPreservationProperty(t *testing.T) {
 	}
 }
 
-func TestMultiscaleSizes(t *testing.T) {
-	x := make([]float64, 256)
-	for i := range x {
-		x[i] = float64(i % 7)
-	}
-	scales, err := Multiscale(x, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 256 → 128 → 64 → 32 (16 would not exceed τ=15... 32/2=16 > 15 so 16 included).
-	wantLens := []int{128, 64, 32, 16}
-	if len(scales) != len(wantLens) {
-		t.Fatalf("got %d scales, want %d", len(scales), len(wantLens))
-	}
-	for i, s := range scales {
-		if len(s) != wantLens[i] {
-			t.Errorf("scale %d has %d points, want %d", i, len(s), wantLens[i])
-		}
-	}
-	full, err := MultiscaleFull(x, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full) != len(scales)+1 || len(full[0]) != 256 {
-		t.Errorf("MultiscaleFull should prepend T0")
-	}
-}
-
-func TestMultiscaleTinyTau(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	scales, err := Multiscale(x, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// τ clamps to 2: scales 4, hmm 8/2=4>2 yes; 4/2=2 not >2 stop. → [4]
-	if len(scales) != 1 || len(scales[0]) != 4 {
-		t.Errorf("unexpected scales: %v", scales)
-	}
-	if _, err := Multiscale(nil, 0); err == nil {
-		t.Error("expected error for empty series")
-	}
-}
-
 func TestEuclidean(t *testing.T) {
 	d, err := Euclidean([]float64{0, 0}, []float64{3, 4})
 	if err != nil || !almostEqual(d, 5, 1e-12) {
