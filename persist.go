@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"mvg/internal/ml"
 	"mvg/internal/ml/xgb"
@@ -87,13 +88,10 @@ func LoadModel(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	booster := &xgb.Model{}
-	if err := booster.UnmarshalBinary(snap.Booster); err != nil {
+	booster, err := snap.restore(p)
+	if err != nil {
+		p.Close()
 		return nil, err
-	}
-	if classes, width := booster.Dims(); classes != snap.Classes || width != len(snap.Names) {
-		return nil, fmt.Errorf("mvg: model booster has %d classes over %d features, snapshot declares %d over %d",
-			classes, width, snap.Classes, len(snap.Names))
 	}
 	m := &Model{
 		pipe:      p,
@@ -107,6 +105,47 @@ func LoadModel(r io.Reader) (*Model, error) {
 		m.scaler = &ml.MinMaxScaler{Min: snap.ScalerMin, Range: snap.ScalerRange}
 	}
 	return m, nil
+}
+
+// restore decodes the snapshot's booster and checks that every part of
+// the snapshot agrees on the feature vector that p extracts from a series
+// of SeriesLen samples. A snapshot that fails here would load and then
+// panic or fail on every predict.
+func (s *modelSnapshot) restore(p *Pipeline) (*xgb.Model, error) {
+	booster := &xgb.Model{}
+	if err := booster.UnmarshalBinary(s.Booster); err != nil {
+		return nil, err
+	}
+	width := len(s.Names)
+	if classes, w := booster.Dims(); classes != s.Classes || w != width {
+		return nil, fmt.Errorf("mvg: model booster has %d classes over %d features, snapshot declares %d over %d",
+			classes, w, s.Classes, width)
+	}
+	if s.SeriesLen < 2 {
+		return nil, fmt.Errorf("mvg: model series length %d, want at least 2", s.SeriesLen)
+	}
+	if !slices.Equal(s.Names, p.FeatureNames(s.SeriesLen)) {
+		return nil, fmt.Errorf("mvg: model feature names are not the %d that its config extracts from series of length %d",
+			p.NumFeatures(s.SeriesLen), s.SeriesLen)
+	}
+	if s.ScalerMin != nil || s.ScalerRange != nil {
+		if len(s.ScalerMin) != width || len(s.ScalerRange) != width {
+			return nil, fmt.Errorf("mvg: model scaler has %d minima and %d ranges for %d features",
+				len(s.ScalerMin), len(s.ScalerRange), width)
+		}
+	}
+	if len(s.Centroids) > 0 || len(s.Spreads) > 0 {
+		if len(s.Centroids) != s.Classes || len(s.Spreads) != len(s.Centroids) {
+			return nil, fmt.Errorf("mvg: model drift baseline has %d centroids and %d spreads for %d classes",
+				len(s.Centroids), len(s.Spreads), s.Classes)
+		}
+		for c, centroid := range s.Centroids {
+			if len(centroid) != 0 && len(centroid) != width {
+				return nil, fmt.Errorf("mvg: model drift centroid %d has %d features, want %d", c, len(centroid), width)
+			}
+		}
+	}
+	return booster, nil
 }
 
 // SaveFile writes the model to path (see Save for the persistence
