@@ -1,5 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (EXPERIMENTS.md maps each benchmark to its artifact) plus the §4.5
+// (from Figure 2 on, each BenchmarkTableN_/BenchmarkFigureN_ runs the
+// experiments.Experiments id its name carries, e.g. "table3") plus the §4.5
 // complexity micro-benchmarks. Experiment benchmarks run on a reduced
 // two-dataset slice of the suite so `go test -bench=.` completes quickly;
 // `cmd/mvgbench` prints the full tables.

@@ -1,5 +1,7 @@
 // Command mvgbench regenerates the paper's evaluation tables and figures
-// (see EXPERIMENTS.md) on the synthetic dataset suite.
+// on the synthetic dataset suite. -exp takes one id of
+// experiments.Experiments (fig2, table2, fig3 … fig10, throughput,
+// stream), extras, or all; README.md ("Tools") lists the common runs.
 //
 // Usage:
 //

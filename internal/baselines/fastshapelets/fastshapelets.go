@@ -9,8 +9,11 @@
 package fastshapelets
 
 import (
+	"cmp"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"mvg/internal/ml"
@@ -225,12 +228,16 @@ func (st *fitState) bestShapelet(idx []int) ([]float64, float64, bool) {
 		}
 		st.projectAndScore(words, idx)
 
-		// Evaluate the top-k words exactly.
-		list := make([]*wordInfo, 0, len(words))
-		for _, w := range words {
-			list = append(list, w)
-		}
-		sort.Slice(list, func(a, b int) bool { return list[a].score > list[b].score })
+		// Evaluate the top-k words exactly. Distinct words have distinct
+		// first occurrences, so ties in score break on where the word
+		// first occurs and the order does not depend on the map's.
+		list := slices.SortedFunc(maps.Values(words), func(a, b *wordInfo) int {
+			return cmp.Or(
+				cmp.Compare(b.score, a.score),
+				cmp.Compare(a.firstSeries, b.firstSeries),
+				cmp.Compare(a.firstPos, b.firstPos),
+			)
+		})
 		k := st.p.TopK
 		if k > len(list) {
 			k = len(list)

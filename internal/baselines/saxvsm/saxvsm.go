@@ -8,7 +8,9 @@ package saxvsm
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 
 	"mvg/internal/ml"
 	"mvg/internal/sax"
@@ -113,18 +115,16 @@ func (m *Model) Fit(X [][]float64, y []int, classes int) error {
 	m.norms = make([]float64, classes)
 	for c, bag := range bags {
 		vec := map[string]float64{}
-		for w, tf := range bag {
+		norm := 0.0
+		for _, w := range slices.Sorted(maps.Keys(bag)) {
 			idf := math.Log(float64(classes) / float64(df[w]))
 			if idf <= 0 {
 				continue
 			}
-			vec[w] = (1 + math.Log(tf)) * idf
+			vec[w] = (1 + math.Log(bag[w])) * idf
+			norm += vec[w] * vec[w]
 		}
 		m.tfidf[c] = vec
-		norm := 0.0
-		for _, v := range vec {
-			norm += v * v
-		}
 		m.norms[c] = math.Sqrt(norm)
 	}
 	return nil
@@ -146,9 +146,12 @@ func (m *Model) PredictProba(X [][]float64) ([][]float64, error) {
 		for _, w := range words {
 			bag[w]++
 		}
+		// Every sum over the bag runs in word order, so a refit gives the
+		// same bits.
+		order := slices.Sorted(maps.Keys(bag))
 		bagNorm := 0.0
-		for _, v := range bag {
-			bagNorm += v * v
+		for _, w := range order {
+			bagNorm += bag[w] * bag[w]
 		}
 		bagNorm = math.Sqrt(bagNorm)
 
@@ -158,9 +161,9 @@ func (m *Model) PredictProba(X [][]float64) ([][]float64, error) {
 				continue
 			}
 			dot := 0.0
-			for w, tf := range bag {
+			for _, w := range order {
 				if weight, ok := m.tfidf[c][w]; ok {
-					dot += tf * weight
+					dot += bag[w] * weight
 				}
 			}
 			sim := dot / (bagNorm * m.norms[c])

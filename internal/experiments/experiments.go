@@ -5,8 +5,9 @@
 // Figure 2 (motif distributions), Figures 3–5 (representation scatter
 // comparisons), Figures 6–7 (critical difference diagrams), Figures 8–9
 // (baseline scatter and runtime comparisons) and Figure 10 (feature
-// importance case study). See EXPERIMENTS.md for the experiment index and
-// recorded outcomes.
+// importance case study). Experiments lists the ids Run accepts, which
+// are the ids cmd/mvgbench's -exp flag takes; README.md ("Tools") shows
+// how to run them.
 package experiments
 
 import (
