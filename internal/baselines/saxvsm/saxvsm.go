@@ -121,8 +121,9 @@ func (m *Model) Fit(X [][]float64, y []int, classes int) error {
 			if idf <= 0 {
 				continue
 			}
-			vec[w] = (1 + math.Log(bag[w])) * idf
-			norm += vec[w] * vec[w]
+			v := (1 + math.Log(bag[w])) * idf
+			vec[w] = v
+			norm += v * v
 		}
 		m.tfidf[c] = vec
 		m.norms[c] = math.Sqrt(norm)
