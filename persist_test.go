@@ -317,6 +317,7 @@ func FuzzLoadModel(f *testing.F) {
 		for i := range series {
 			series[i] = math.Sin(0.37*float64(i)) + float64(i%7)/10
 		}
+		// An error from either predict keeps the contract; a panic breaks it.
 		ctx := context.Background()
 		_, _ = m.PredictProba(ctx, [][]float64{series})
 		s, err := m.NewStream(m.seriesLen)
