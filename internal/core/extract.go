@@ -192,22 +192,40 @@ func (e *Extractor) FeatureNames(n int) []string {
 	return names
 }
 
+// degreeGraph is a graph whose degree statistics a feature block reads: a
+// built CSR graph, or a counting ring's live window read in place.
+type degreeGraph interface {
+	DegreesInto(dst []int) []int
+	DegeneracyScratch(s *graph.CoreScratch) int
+	DegreeEntropyScratch(s *graph.CoreScratch) float64
+}
+
 // graphBlock appends the feature block of graph g to dst, given its
-// subgraph counts: the motif counts and the assortativity close from sub,
-// and the other statistics read g, in sc's reusable buffers.
-func (e *Extractor) graphBlock(dst []float64, g *graph.Graph, sub graph.Subgraphs, sc *Scratch) []float64 {
+// subgraph counts: the motif counts, the assortativity, the density and
+// the mean degree close from sub, the other statistics read g's degrees
+// and rows in sc's reusable buffers. An HVG's degeneracy follows from its
+// vertex and edge counts (graph.HVGDegeneracy), so only a VG is peeled.
+func (e *Extractor) graphBlock(dst []float64, g degreeGraph, sub graph.Subgraphs, hvg bool, sc *Scratch) []float64 {
 	c := motif.FromSubgraphs(sub)
 	dst = c.AppendProbabilities(dst)
 	if e.opts.Features == AllFeatures {
+		n, m := int(sub.N), int(sub.M)
 		r, _ := sub.Assortativity() // undefined → 0, a neutral value
-		maxDeg, minDeg, meanDeg := g.DegreeStats()
+		sc.deg = g.DegreesInto(sc.deg)
+		maxDeg, minDeg := graph.DegreeRange(sc.deg)
+		var kcore int
+		if hvg {
+			kcore = graph.HVGDegeneracy(n, m)
+		} else {
+			kcore = g.DegeneracyScratch(&sc.cores)
+		}
 		dst = append(dst,
-			g.Density(),
+			graph.DensityOf(n, m),
 			r,
-			float64(g.DegeneracyScratch(&sc.cores)),
+			float64(kcore),
 			float64(maxDeg),
 			float64(minDeg),
-			meanDeg,
+			graph.MeanDegreeOf(n, m),
 		)
 	}
 	if e.opts.Extended {
@@ -248,11 +266,12 @@ func (e *Extractor) ExtractWith(sc *Scratch, series []float64) ([]float64, error
 // ExtractWithRings is ExtractWith taking maintained visibility graphs for
 // some scales — the entry point of the streaming engine (mvg.Stream).
 // rings[i], when present and non-nil, holds the window of the i-th output
-// scale (T_i under Uniscale and Multiscale): each of its graphs that the
-// configuration uses is snapshotted into CSR instead of built, and when it
-// is a counting ring, its maintained subgraph counts replace the motif
-// enumeration. Every other scale is built from the series as in
-// ExtractWith.
+// scale (T_i under Uniscale and Multiscale), and each of its graphs that
+// the configuration uses replaces a build. A counting ring's block is
+// read off the ring in place: its maintained subgraph counts replace the
+// motif enumeration, and its degrees and rows give the other statistics.
+// Any other ring is snapshotted into CSR and enumerated. Every other
+// scale is built from the series as in ExtractWith.
 //
 // The output is bit-identical to ExtractWith provided each ring holds the
 // batch builders' graph of its scale, which holds exactly when
@@ -308,13 +327,20 @@ func (e *Extractor) ExtractWithRings(sc *Scratch, series []float64, rings []*vis
 }
 
 // scaleBlock appends the feature block of scale t's VG (or HVG, when hvg
-// is set): snapshotted from ring when ring is non-nil, else built from t.
-// A counting ring supplies its maintained subgraph counts; any other
-// graph has them enumerated.
+// is set). With no ring, the graph is built from t and its subgraphs
+// enumerated. A counting ring supplies its maintained subgraph counts and
+// is read in place; any other ring is snapshotted into CSR, whose
+// subgraphs are enumerated.
 func (e *Extractor) scaleBlock(dst []float64, sc *Scratch, t []float64, ring *graph.RingGraph, hvg bool) ([]float64, error) {
-	var sub graph.Subgraphs
-	counted := false
-	if ring == nil {
+	if ring != nil {
+		if ring.Len() != len(t) {
+			return nil, fmt.Errorf("core: supplied ring graph has %d vertices, scale has %d", ring.Len(), len(t))
+		}
+		if sub, counted := ring.Subgraphs(); counted {
+			return e.graphBlock(dst, ring, sub, hvg, sc), nil
+		}
+		ring.ToCSR(&sc.g)
+	} else {
 		var edges [][2]int
 		var err error
 		if hvg {
@@ -326,17 +352,8 @@ func (e *Extractor) scaleBlock(dst []float64, sc *Scratch, t []float64, ring *gr
 			return nil, err
 		}
 		sc.g.BuildUnchecked(len(t), edges)
-	} else {
-		if ring.Len() != len(t) {
-			return nil, fmt.Errorf("core: supplied ring graph has %d vertices, scale has %d", ring.Len(), len(t))
-		}
-		ring.ToCSR(&sc.g)
-		sub, counted = ring.Subgraphs()
 	}
-	if !counted {
-		sub = sc.motifs.Subgraphs(&sc.g)
-	}
-	return e.graphBlock(dst, &sc.g, sub, sc), nil
+	return e.graphBlock(dst, &sc.g, sc.motifs.Subgraphs(&sc.g), hvg, sc), nil
 }
 
 // ExtractDataset extracts features for every series in parallel across

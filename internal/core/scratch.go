@@ -25,6 +25,7 @@ type Scratch struct {
 	g        graph.Graph
 	motifs   motif.Counter
 	cores    graph.CoreScratch
+	deg      []int // degree sequence of the graph a feature block reads
 }
 
 // NewScratch returns an empty Scratch ready for use with

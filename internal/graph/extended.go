@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"math"
-
-	"mvg/internal/buf"
-)
+import "math"
 
 // The features in this file go beyond the paper's evaluated set; its
 // conclusion (§6) names degree-distribution entropy and further structural
@@ -27,23 +23,23 @@ func (g *Graph) DegreeEntropy() float64 {
 // (the degree histogram reuses the same storage as the core-decomposition
 // bucket array, so one CoreScratch serves both per-graph statistics).
 func (g *Graph) DegreeEntropyScratch(s *CoreScratch) float64 {
-	n := g.N()
-	if n == 0 {
-		return 0
-	}
-	maxDeg := 0
-	for v := 0; v < n; v++ {
-		if d := int(g.offsets[v+1] - g.offsets[v]); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	s.bin = buf.GrowZero(s.bin, maxDeg+1)
-	counts := s.bin
-	for v := 0; v < n; v++ {
-		counts[g.offsets[v+1]-g.offsets[v]]++
-	}
+	s.deg = g.DegreesInto(s.deg)
+	return s.degreeEntropy()
+}
+
+// DegreeEntropyScratch returns the degree entropy of the live window,
+// equal to Graph.DegreeEntropyScratch of its ToCSR snapshot.
+func (r *RingGraph) DegreeEntropyScratch(s *CoreScratch) float64 {
+	s.deg = r.DegreesInto(s.deg)
+	return s.degreeEntropy()
+}
+
+// degreeEntropy is the entropy of the degrees in s.deg, summed over their
+// histogram in ascending degree order.
+func (s *CoreScratch) degreeEntropy() float64 {
+	n := len(s.deg)
 	h := 0.0
-	for _, c := range counts {
+	for _, c := range s.histogram() {
 		if c == 0 {
 			continue
 		}

@@ -221,32 +221,46 @@ func (g *Graph) DegreesInto(dst []int) []int {
 
 // Density returns 2|E| / (|V| (|V|-1)) (equation 2 of the paper).
 // Graphs with fewer than two vertices have density 0.
-func (g *Graph) Density() float64 {
-	n := float64(g.n)
-	if g.n < 2 {
+func (g *Graph) Density() float64 { return DensityOf(g.n, g.m) }
+
+// DensityOf is the density of a graph with n vertices and m edges.
+func DensityOf(n, m int) float64 {
+	if n < 2 {
 		return 0
 	}
-	return 2 * float64(g.m) / (n * (n - 1))
+	nf := float64(n)
+	return 2 * float64(m) / (nf * (nf - 1))
+}
+
+// MeanDegreeOf is the mean degree 2m/n of a graph with n vertices and m
+// edges, 0 for the empty graph.
+func MeanDegreeOf(n, m int) float64 {
+	if n == 0 {
+		return 0
+	}
+	return 2 * float64(m) / float64(n)
+}
+
+// DegreeRange returns the largest and smallest of the degrees, both 0
+// when there are none.
+func DegreeRange(deg []int) (maxDeg, minDeg int) {
+	if len(deg) == 0 {
+		return 0, 0
+	}
+	maxDeg, minDeg = deg[0], deg[0]
+	for _, d := range deg[1:] {
+		maxDeg = max(maxDeg, d)
+		minDeg = min(minDeg, d)
+	}
+	return maxDeg, minDeg
 }
 
 // DegreeStats returns the maximum, minimum and mean vertex degree.
-// All are 0 for the empty graph.
+// All are 0 for the empty graph. It allocates the degree sequence; the
+// feature blocks read DegreesInto a reused buffer instead.
 func (g *Graph) DegreeStats() (maxDeg, minDeg int, meanDeg float64) {
-	if g.n == 0 {
-		return 0, 0, 0
-	}
-	maxDeg = int(g.offsets[1])
-	minDeg = maxDeg
-	for v := 1; v < g.n; v++ {
-		d := int(g.offsets[v+1] - g.offsets[v])
-		if d > maxDeg {
-			maxDeg = d
-		}
-		if d < minDeg {
-			minDeg = d
-		}
-	}
-	return maxDeg, minDeg, 2 * float64(g.m) / float64(g.n)
+	maxDeg, minDeg = DegreeRange(g.Degrees())
+	return maxDeg, minDeg, MeanDegreeOf(g.n, g.m)
 }
 
 // IsConnected reports whether the graph is connected (the empty graph and

@@ -3,11 +3,76 @@ package graph
 import "mvg/internal/buf"
 
 // CoreScratch holds the reusable work arrays of the per-graph statistics
-// that need O(n) state — core decomposition and the degree-distribution
-// entropy — so hot loops can process one graph after another without
-// reallocating. The zero value is ready for use.
+// that need O(n) state — the degree sequence, core decomposition and the
+// degree-distribution entropy — so hot loops can process one graph after
+// another without reallocating. One CoreScratch serves a CSR Graph and a
+// RingGraph alike. The zero value is ready for use.
 type CoreScratch struct {
-	core, deg, bin, start, vert, pos, fill []int
+	core, deg, bin, start, vert, pos []int
+}
+
+// histogram fills s.bin with the histogram of the degrees in s.deg —
+// bin[d] vertices of degree d, for d up to the maximum degree — and
+// returns it.
+func (s *CoreScratch) histogram() []int {
+	maxDeg := 0
+	for _, d := range s.deg {
+		maxDeg = max(maxDeg, d)
+	}
+	s.bin = buf.GrowZero(s.bin, maxDeg+1)
+	bin := s.bin
+	for _, d := range s.deg {
+		bin[d]++
+	}
+	return bin
+}
+
+// peel bucket-sorts the vertices by the degrees in s.deg, the set-up of
+// a Batagelj–Zaversnik peel over vertices 0..len(deg)-1, and returns the
+// peel's state in s's buffers: deg, which the peel consumes, vert, the
+// vertices by current degree, pos, each one's place in vert, and start,
+// where the block of each degree begins. Whatever the adjacency layout, a
+// peel walks vert in order, reads each vertex's degree as its core
+// number, and lowers every neighbour.
+func (s *CoreScratch) peel() (deg, start, vert, pos []int) {
+	deg = s.deg
+	cursor := s.histogram()
+	s.start = buf.Grow(s.start, len(cursor))
+	start = s.start
+	sum := 0
+	for d, c := range cursor {
+		start[d] = sum
+		cursor[d] = sum
+		sum += c
+	}
+	s.vert = buf.Grow(s.vert, len(deg))
+	s.pos = buf.Grow(s.pos, len(deg))
+	vert, pos = s.vert, s.pos
+	for v, d := range deg {
+		pos[v] = cursor[d]
+		vert[cursor[d]] = v
+		cursor[d]++
+	}
+	return deg, start, vert, pos
+}
+
+// lower removes the arc to w of the vertex being peeled, whose core
+// number is dv: a neighbour of higher current degree moves to the front
+// of its degree block and drops into the block below. One of degree at
+// most dv keeps it, as its core number is at least dv already. The slices
+// are peel's, passed one by one so that they stay in registers.
+func lower(deg, start, vert, pos []int, w, dv int) {
+	dw := deg[w]
+	if dw <= dv {
+		return
+	}
+	pw, ps := pos[w], start[dw]
+	if u := vert[ps]; u != w {
+		vert[ps], vert[pw] = w, u
+		pos[w], pos[u] = ps, pw
+	}
+	start[dw]++
+	deg[w]--
 }
 
 // CoreNumbers computes the core number of every vertex with the
@@ -23,65 +88,18 @@ func (g *Graph) CoreNumbers() []int {
 // returned slice aliases s and is valid until the next call with the same
 // scratch.
 func (g *Graph) CoreNumbersScratch(s *CoreScratch) []int {
-	n := g.N()
-	// No zero-fill needed: the peel loop assigns core[v] for every vertex.
-	s.core = buf.Grow(s.core, n)
-	core := s.core
-	if n == 0 {
-		return core
-	}
 	s.deg = g.DegreesInto(s.deg)
-	deg := s.deg
-	maxDeg := 0
-	for _, d := range deg {
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	// Bucket sort vertices by degree.
-	s.bin = buf.GrowZero(s.bin, maxDeg+2)
-	bin := s.bin // bin[d] = start index of degree-d block in vert
-	for _, d := range deg {
-		bin[d+1]++
-	}
-	for d := 1; d <= maxDeg+1; d++ {
-		bin[d] += bin[d-1]
-	}
-	s.start = buf.Grow(s.start, maxDeg+1)
-	start := s.start
-	copy(start, bin[:maxDeg+1])
-	s.vert = buf.Grow(s.vert, n)
-	s.pos = buf.Grow(s.pos, n)
-	vert := s.vert // vertices ordered by current degree
-	pos := s.pos   // position of each vertex in vert
-	s.fill = buf.Grow(s.fill, maxDeg+1)
-	fill := s.fill
-	copy(fill, start)
-	for v := 0; v < n; v++ {
-		pos[v] = fill[deg[v]]
-		vert[pos[v]] = v
-		fill[deg[v]]++
-	}
-	// Peel vertices in nondecreasing degree order.
+	// No zero-fill needed: the peel assigns core[v] for every vertex.
+	s.core = buf.Grow(s.core, g.n)
+	core := s.core
+	deg, start, vert, pos := s.peel()
 	offs, nbrs := g.offsets, g.neighbors
-	for i := 0; i < n; i++ {
+	for i := 0; i < g.n; i++ {
 		v := vert[i]
-		core[v] = deg[v]
-		for _, wi := range nbrs[offs[v]:offs[v+1]] {
-			w := int(wi)
-			if deg[w] > deg[v] {
-				dw := deg[w]
-				pw := pos[w]
-				ps := start[dw]
-				u := vert[ps]
-				if u != w {
-					// Swap w with the first vertex of its degree block.
-					vert[ps], vert[pw] = w, u
-					pos[w], pos[u] = ps, pw
-				}
-				start[dw]++
-				deg[w]--
-			}
+		dv := deg[v]
+		core[v] = dv
+		for _, w := range nbrs[offs[v]:offs[v+1]] {
+			lower(deg, start, vert, pos, int(w), dv)
 		}
 	}
 	return core
@@ -97,11 +115,53 @@ func (g *Graph) Degeneracy() int {
 func (g *Graph) DegeneracyScratch(s *CoreScratch) int {
 	maxCore := 0
 	for _, c := range g.CoreNumbersScratch(s) {
-		if c > maxCore {
-			maxCore = c
-		}
+		maxCore = max(maxCore, c)
 	}
 	return maxCore
+}
+
+// DegeneracyScratch returns the degeneracy of the live window, equal to
+// Graph.DegeneracyScratch of its ToCSR snapshot: the same peel, walking
+// the ring's rows instead of CSR ones.
+func (r *RingGraph) DegeneracyScratch(s *CoreScratch) int {
+	s.deg = r.DegreesInto(s.deg)
+	deg, start, vert, pos := s.peel()
+	first := uint32(r.start)
+	k := 0
+	for i := 0; i < r.count; i++ {
+		v := vert[i]
+		dv := deg[v]
+		k = max(k, dv)
+		slot := (r.start + v) & r.mask
+		for _, a := range r.rows[slot][r.heads[slot]:] {
+			lower(deg, start, vert, pos, int(a.id-first), dv)
+		}
+	}
+	return k
+}
+
+// HVGDegeneracy is the degeneracy of a horizontal visibility graph with n
+// vertices and m edges: 0 without edges, 1 when m = n−1 and 2 otherwise.
+// It equals DegeneracyScratch on the graph, without a peel.
+//
+// An HVG holds the path through its samples in time order, since
+// neighbouring samples always see each other, so it is connected and has
+// m ≥ n−1 edges; with m = n−1 it is that path, a tree. It is also
+// outerplanar: drawn with its vertices on a line in time order and every
+// edge as an arc above it, two edges (a,b) and (c,d) with a < c < b < d
+// would cross, but (a,b) needs x_c < x_b and (c,d) needs x_b < x_c. An
+// outerplanar graph always has a vertex of degree at most two, and so has
+// each of its subgraphs, which bounds the degeneracy by 2; a graph with a
+// cycle has degeneracy at least 2.
+func HVGDegeneracy(n, m int) int {
+	switch {
+	case m == 0:
+		return 0
+	case m == n-1:
+		return 1
+	default:
+		return 2
+	}
 }
 
 // KCore returns the vertex set of the k-core: every vertex whose core

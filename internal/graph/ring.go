@@ -29,13 +29,14 @@ import (
 //     already purged of earlier evictions — is the head entry of every row
 //     that contains it, so removal is a per-row head advance.
 //
-// ToCSR materializes the window as an ordinary CSR Graph (vertices
-// renumbered to 0..Len-1 in window order), so every existing feature
-// kernel runs unchanged on the snapshot.
-//
 // A counting ring (NewCountingRingGraph) also keeps the window's
 // Subgraphs current: each mutation adds or removes exactly the subgraph
-// copies that contain the appended or evicted vertex (see countAt).
+// copies that contain the appended or evicted vertex (see countAt). Its
+// other statistics are read off the rows in place: DegreesInto,
+// DegeneracyScratch and DegreeEntropyScratch give what Graph's methods
+// give on the window. ToCSR materializes the window as an ordinary CSR
+// Graph (vertices renumbered to 0..Len-1 in window order) for the motif
+// enumeration of a ring that does not count.
 //
 // A RingGraph must not be shared between goroutines. The zero value is not
 // ready for use; construct with NewRingGraph or Reset.
@@ -153,6 +154,17 @@ func (r *RingGraph) Start() int { return r.start }
 func (r *RingGraph) Degree(id int) int {
 	slot := id & r.mask
 	return len(r.rows[slot]) - r.heads[slot]
+}
+
+// DegreesInto writes the live degrees in window order (logical id minus
+// Start) into dst, growing it as needed, and returns the filled slice.
+func (r *RingGraph) DegreesInto(dst []int) []int {
+	dst = buf.Grow(dst, r.count)
+	for k := range dst {
+		slot := (r.start + k) & r.mask
+		dst[k] = len(r.rows[slot]) - r.heads[slot]
+	}
+	return dst
 }
 
 // Subgraphs returns the live window's subgraph counts, equal to

@@ -38,8 +38,9 @@ func ringShapes(n int, seed int64) map[string][]float64 {
 
 // ringChecker slides a counting ring over a series, linking each new
 // sample to its visibility neighbours in the window as the batch builder
-// finds them, and checks the maintained counts against a recount of the
-// ring's snapshot after every Evict and every Append.
+// finds them, and checks the maintained counts and the statistics read
+// off the ring against the ring's snapshot after every Evict and every
+// Append.
 type ringChecker struct {
 	t     *testing.T
 	hvg   bool
@@ -47,6 +48,8 @@ type ringChecker struct {
 	ctr   motif.Counter
 	snap  graph.Graph
 	nbrs  []int
+	deg   []int
+	cores graph.CoreScratch
 	label string
 }
 
@@ -102,6 +105,41 @@ func (c *ringChecker) check(r *graph.RingGraph, op string) {
 	wa, wok := c.snap.Assortativity()
 	if gok != wok || math.Float64bits(ga) != math.Float64bits(wa) {
 		c.t.Fatalf("%s: after %s: assortativity %v (%v), want %v (%v)", c.label, op, ga, gok, wa, wok)
+	}
+	c.checkStats(r, op)
+}
+
+// checkStats compares the degree statistics read off the ring with those
+// of its snapshot, bit for bit: max, min and mean degree, density, degree
+// entropy and degeneracy, and for an HVG window the degeneracy from its
+// vertex and edge counts.
+func (c *ringChecker) checkStats(r *graph.RingGraph, op string) {
+	c.t.Helper()
+	n, m := r.Len(), r.M()
+	c.deg = r.DegreesInto(c.deg)
+	maxDeg, minDeg := graph.DegreeRange(c.deg)
+	wantMax, wantMin, wantMean := c.snap.DegreeStats()
+	type stat struct {
+		name      string
+		got, want float64
+	}
+	wantCore := c.snap.DegeneracyScratch(&c.cores)
+	stats := []stat{
+		{"max degree", float64(maxDeg), float64(wantMax)},
+		{"min degree", float64(minDeg), float64(wantMin)},
+		{"mean degree", graph.MeanDegreeOf(n, m), wantMean},
+		{"density", graph.DensityOf(n, m), c.snap.Density()},
+		{"degree entropy", r.DegreeEntropyScratch(&c.cores), c.snap.DegreeEntropyScratch(&c.cores)},
+		{"degeneracy", float64(r.DegeneracyScratch(&c.cores)), float64(wantCore)},
+	}
+	if c.hvg {
+		stats = append(stats, stat{"HVG degeneracy", float64(graph.HVGDegeneracy(n, m)), float64(wantCore)})
+	}
+	for _, s := range stats {
+		if math.Float64bits(s.got) != math.Float64bits(s.want) {
+			c.t.Fatalf("%s: after %s of window [%d,+%d): ring %s %v, snapshot %v",
+				c.label, op, r.Start(), r.Len(), s.name, s.got, s.want)
+		}
 	}
 }
 
@@ -187,8 +225,8 @@ func TestNonCountingRingHasNoSubgraphs(t *testing.T) {
 }
 
 // FuzzRingStatsAgainstBatch fuzzes the counting ring against the batch
-// counter: random samples and window lengths, VG and HVG, checked after
-// every Append and Evict. The nightly fuzz workflow runs it for 5 minutes.
+// counter and the snapshot's statistics: random samples and window
+// lengths, VG and HVG, checked after every Append and Evict. The nightly fuzz workflow runs it for 5 minutes.
 func FuzzRingStatsAgainstBatch(f *testing.F) {
 	f.Add([]byte{16, 0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 130, 140, 150, 160, 170})
 	f.Add([]byte{4, 1, 1, 1, 1, 1, 1, 200, 3, 3, 3})
