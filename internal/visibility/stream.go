@@ -38,7 +38,8 @@ var ErrWindowLen = errors.New("visibility: window needs at least 2 points")
 // Incremental maintains the natural and/or horizontal visibility graph of
 // a sliding window over a sample stream. Push appends one sample, evicting
 // the oldest automatically once the window is full; VG and HVG expose
-// the current window's ring graphs, which snapshot into CSR for the batch
+// the current window's ring graphs. A counting ring's features are read
+// off the ring itself; any other ring snapshots into CSR for the batch
 // feature kernels.
 //
 // The maintained edge sets are identical to what the batch builders
@@ -218,8 +219,8 @@ func (inc *Incremental) WindowInto(dst []float64) []float64 {
 }
 
 // VG returns the window's natural visibility graph, nil when the
-// Incremental was built without VG maintenance. RingGraph.ToCSR
-// snapshots it with vertices renumbered to 0..Len-1 in window order.
+// Incremental was built without VG maintenance. Its vertices in window
+// order are logical ids Start..Start+Len-1 of the ring.
 func (inc *Incremental) VG() *graph.RingGraph { return inc.vg }
 
 // HVG returns the window's horizontal visibility graph, nil when the

@@ -27,20 +27,21 @@ import (
 // maintains the window's T0 visibility graphs incrementally: appending a
 // sample adds only the new rightmost vertex's edges (HVG via the monotone
 // stack, amortized O(1); NVG via a backward max-slope scan with an early
-// exit), evicting the oldest removes only its incident edges, and
-// Features snapshots the ring graphs straight into the CSR kernels.
+// exit), and evicting the oldest removes only its incident edges.
 // Otherwise the stream transparently falls back to re-extracting the
 // materialized window per hop; Incremental reports which mode is active.
 //
 // When the hop is small against the window (windowLen ≥ maintainRatio ×
 // hop), the incremental stream also keeps the graphs' subgraph counts
 // current on every push, so a hop closes them instead of recounting the
-// window, and it keeps a ring for every pyramid level T_k (k ≥ 1) that
-// the configuration uses and whose blocks of 2^k samples the hop aligns
-// with (2^k dividing both windowLen and hop). Features uses level k's
-// ring whenever the window starts on a block boundary (after a multiple
-// of 2^k pushes, which every hop is) and builds the level from the
-// window otherwise.
+// window and reads the other statistics off the ring graphs in place.
+// Otherwise Features snapshots each ring graph into CSR and counts its
+// subgraphs there. A maintaining stream keeps a ring for every pyramid
+// level T_k (k ≥ 1) that the configuration uses and whose blocks of 2^k
+// samples the hop aligns with (2^k dividing both windowLen and hop).
+// Features uses level k's ring whenever the window starts on a block
+// boundary (after a multiple of 2^k pushes, which every hop is) and
+// builds the level from the window otherwise.
 //
 // # Determinism contract
 //
