@@ -37,9 +37,16 @@ type Pool[S any] struct {
 	spawned int
 	closed  bool
 
-	tasks chan func(S)
+	tasks chan task[S]
 	quit  chan struct{}
 	wg    sync.WaitGroup
+}
+
+// task is one worker's share of a batch: run(scratch, first) runs job
+// first, then claims jobs until the batch has none left.
+type task[S any] struct {
+	run   func(scratch S, first int)
+	first int
 }
 
 // NewPool returns an empty pool; no goroutines run until the first batch.
@@ -47,7 +54,7 @@ type Pool[S any] struct {
 func NewPool[S any](newScratch func() S) *Pool[S] {
 	return &Pool[S]{
 		newScratch: newScratch,
-		tasks:      make(chan func(S)),
+		tasks:      make(chan task[S]),
 		quit:       make(chan struct{}),
 	}
 }
@@ -71,8 +78,8 @@ func (p *Pool[S]) worker() {
 	scratch := p.newScratch()
 	for {
 		select {
-		case task := <-p.tasks:
-			task(scratch)
+		case t := <-p.tasks:
+			t.run(scratch, t.first)
 		case <-p.quit:
 			return
 		}
@@ -105,31 +112,32 @@ func (p *Pool[S]) ForEach(ctx context.Context, workers, n int, fn func(scratch S
 	if err := p.ensure(k); err != nil {
 		return err
 	}
+	// Task j runs job j before it claims any other, so every worker that
+	// takes a task runs at least one job: how many scratches a batch
+	// warms up does not depend on how soon each worker starts.
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup
 	)
+	next.Store(int64(k))
 	errs := make([]error, n)
-	run := func(scratch S) {
+	run := func(scratch S, first int) {
 		defer wg.Done()
-		for ctx.Err() == nil {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
+		for i := first; i < n && ctx.Err() == nil; i = int(next.Add(1)) - 1 {
 			errs[i] = fn(scratch, i)
 		}
 	}
 	// Hand the batch to up to k workers. Any single accepted task is
 	// enough for completeness — it loops until the index counter drains —
 	// so a Close or cancellation racing the later submissions only costs
-	// parallelism.
+	// parallelism: the first jobs of the tasks never handed out run on
+	// the calling goroutine below.
 	submitted := 0
 submit:
 	for j := 0; j < k; j++ {
 		wg.Add(1)
 		select {
-		case p.tasks <- run:
+		case p.tasks <- task[S]{run: run, first: j}:
 			submitted++
 		case <-p.quit:
 			wg.Done()
@@ -144,6 +152,13 @@ submit:
 			return err
 		}
 		return ErrPoolClosed
+	}
+	if submitted < k && ctx.Err() == nil {
+		scratch := p.newScratch()
+		for j := submitted; j < k; j++ {
+			wg.Add(1)
+			run(scratch, j)
+		}
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
