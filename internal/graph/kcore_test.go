@@ -57,21 +57,3 @@ func TestHVGDegeneracyIdentity(t *testing.T) {
 		t.Fatalf("HVGDegeneracy(1, 0) = %d, want 0", got)
 	}
 }
-
-// TestRingStatsAfterReset reads the statistics of an empty and of a
-// single-vertex window, where every one of them is 0.
-func TestRingStatsAfterReset(t *testing.T) {
-	r := graph.NewCountingRingGraph(4)
-	var s graph.CoreScratch
-	for step := 0; step < 2; step++ {
-		deg := r.DegreesInto(nil)
-		maxDeg, minDeg := graph.DegreeRange(deg)
-		h := r.DegreeEntropyScratch(&s)
-		k := r.DegeneracyScratch(&s)
-		if maxDeg != 0 || minDeg != 0 || h != 0 || k != 0 {
-			t.Fatalf("window of %d vertices: max %d, min %d, entropy %v, degeneracy %d; want all 0",
-				r.Len(), maxDeg, minDeg, h, k)
-		}
-		r.Append(nil)
-	}
-}
