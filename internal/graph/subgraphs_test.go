@@ -226,7 +226,8 @@ func TestNonCountingRingHasNoSubgraphs(t *testing.T) {
 
 // FuzzRingStatsAgainstBatch fuzzes the counting ring against the batch
 // counter and the snapshot's statistics: random samples and window
-// lengths, VG and HVG, checked after every Append and Evict. The nightly fuzz workflow runs it for 5 minutes.
+// lengths, VG and HVG, checked after every Append and Evict. The nightly
+// fuzz workflow runs it for 5 minutes.
 func FuzzRingStatsAgainstBatch(f *testing.F) {
 	f.Add([]byte{16, 0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 130, 140, 150, 160, 170})
 	f.Add([]byte{4, 1, 1, 1, 1, 1, 1, 200, 3, 3, 3})

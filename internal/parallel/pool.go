@@ -96,7 +96,8 @@ func (p *Pool[S]) worker() {
 //
 // Concurrent ForEach calls are safe and share the worker set; each batch
 // claims at most `workers` of them. A batch that got at least one worker
-// always completes (that worker drains every remaining index), so a
+// always completes (that worker drains the shared index counter, and
+// then takes the batch's tasks still waiting for a worker), so a
 // saturated pool degrades to less parallelism, never to deadlock.
 func (p *Pool[S]) ForEach(ctx context.Context, workers, n int, fn func(scratch S, i int) error) error {
 	if n <= 0 {
