@@ -19,6 +19,7 @@
 package graph
 
 import (
+	"math"
 	"sort"
 
 	"mvg/internal/buf"
@@ -256,10 +257,18 @@ func DegreeRange(deg []int) (maxDeg, minDeg int) {
 }
 
 // DegreeStats returns the maximum, minimum and mean vertex degree.
-// All are 0 for the empty graph. It allocates the degree sequence; the
-// feature blocks read DegreesInto a reused buffer instead.
+// All are 0 for the empty graph. It reads the degrees off the CSR
+// offsets, so it allocates nothing.
 func (g *Graph) DegreeStats() (maxDeg, minDeg int, meanDeg float64) {
-	maxDeg, minDeg = DegreeRange(g.Degrees())
+	if g.n == 0 {
+		return 0, 0, 0
+	}
+	maxDeg, minDeg = math.MinInt, math.MaxInt
+	for v := range g.n {
+		d := int(g.offsets[v+1] - g.offsets[v])
+		maxDeg = max(maxDeg, d)
+		minDeg = min(minDeg, d)
+	}
 	return maxDeg, minDeg, MeanDegreeOf(g.n, g.m)
 }
 

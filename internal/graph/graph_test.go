@@ -103,6 +103,9 @@ func TestDegreeStats(t *testing.T) {
 	if maxD != 0 || minD != 0 || mean != 0 {
 		t.Error("empty graph degree stats should be zero")
 	}
+	if a := testing.AllocsPerRun(16, func() { g.DegreeStats() }); a != 0 {
+		t.Errorf("DegreeStats allocates %v times, want 0", a)
+	}
 }
 
 func TestIsConnected(t *testing.T) {

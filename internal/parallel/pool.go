@@ -37,16 +37,9 @@ type Pool[S any] struct {
 	spawned int
 	closed  bool
 
-	tasks chan task[S]
+	tasks chan func(S)
 	quit  chan struct{}
 	wg    sync.WaitGroup
-}
-
-// task is one worker's share of a batch: run(scratch, first) runs job
-// first, then claims jobs until the batch has none left.
-type task[S any] struct {
-	run   func(scratch S, first int)
-	first int
 }
 
 // NewPool returns an empty pool; no goroutines run until the first batch.
@@ -54,7 +47,7 @@ type task[S any] struct {
 func NewPool[S any](newScratch func() S) *Pool[S] {
 	return &Pool[S]{
 		newScratch: newScratch,
-		tasks:      make(chan task[S]),
+		tasks:      make(chan func(S)),
 		quit:       make(chan struct{}),
 	}
 }
@@ -78,8 +71,8 @@ func (p *Pool[S]) worker() {
 	scratch := p.newScratch()
 	for {
 		select {
-		case t := <-p.tasks:
-			t.run(scratch, t.first)
+		case task := <-p.tasks:
+			task(scratch)
 		case <-p.quit:
 			return
 		}
@@ -96,8 +89,7 @@ func (p *Pool[S]) worker() {
 //
 // Concurrent ForEach calls are safe and share the worker set; each batch
 // claims at most `workers` of them. A batch that got at least one worker
-// always completes (that worker drains the shared index counter, and
-// then takes the batch's tasks still waiting for a worker), so a
+// always completes (that worker drains every remaining index), so a
 // saturated pool degrades to less parallelism, never to deadlock.
 func (p *Pool[S]) ForEach(ctx context.Context, workers, n int, fn func(scratch S, i int) error) error {
 	if n <= 0 {
@@ -113,32 +105,31 @@ func (p *Pool[S]) ForEach(ctx context.Context, workers, n int, fn func(scratch S
 	if err := p.ensure(k); err != nil {
 		return err
 	}
-	// Task j runs job j before it claims any other, so every worker that
-	// takes a task runs at least one job: how many scratches a batch
-	// warms up does not depend on how soon each worker starts.
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup
 	)
-	next.Store(int64(k))
 	errs := make([]error, n)
-	run := func(scratch S, first int) {
+	run := func(scratch S) {
 		defer wg.Done()
-		for i := first; i < n && ctx.Err() == nil; i = int(next.Add(1)) - 1 {
+		for ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
 			errs[i] = fn(scratch, i)
 		}
 	}
 	// Hand the batch to up to k workers. Any single accepted task is
 	// enough for completeness — it loops until the index counter drains —
 	// so a Close or cancellation racing the later submissions only costs
-	// parallelism: the first jobs of the tasks never handed out run on
-	// the calling goroutine below.
+	// parallelism.
 	submitted := 0
 submit:
 	for j := 0; j < k; j++ {
 		wg.Add(1)
 		select {
-		case p.tasks <- task[S]{run: run, first: j}:
+		case p.tasks <- run:
 			submitted++
 		case <-p.quit:
 			wg.Done()
@@ -153,13 +144,6 @@ submit:
 			return err
 		}
 		return ErrPoolClosed
-	}
-	if submitted < k && ctx.Err() == nil {
-		scratch := p.newScratch()
-		for j := submitted; j < k; j++ {
-			wg.Add(1)
-			run(scratch, j)
-		}
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {

@@ -333,70 +333,3 @@ func TestPoolCancelWhileHandingOut(t *testing.T) {
 		})
 	}
 }
-
-// TestPoolTaskRunsItsFirstJob: the task that hands job j to a worker
-// runs job j before any other, so a worker that starts late still runs
-// one. Here the second worker never starts during the batch: the first
-// runs job 0, drains jobs 2..9, and only then takes the second task and
-// its job 1.
-func TestPoolTaskRunsItsFirstJob(t *testing.T) {
-	var created atomic.Int64
-	release := make(chan struct{})
-	p := NewPool(func() struct{} {
-		if created.Add(1) == 2 {
-			<-release
-		}
-		return struct{}{}
-	})
-	defer p.Close()
-	defer close(release)
-	var order []int
-	if err := p.ForEach(context.Background(), 2, 10, func(_ struct{}, i int) error {
-		order = append(order, i)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 2, 3, 4, 5, 6, 7, 8, 9, 1}
-	if fmt.Sprint(order) != fmt.Sprint(want) {
-		t.Fatalf("job order %v, want %v", order, want)
-	}
-}
-
-// TestPoolCloseWhileHandingOut: a Close that lands after the batch got a
-// worker but before its second task was handed out still completes the
-// batch. The job the second task would have started with runs on the
-// calling goroutine.
-func TestPoolCloseWhileHandingOut(t *testing.T) {
-	p := newPlainPool()
-	busy, release := occupy(t, p)
-
-	closed := make(chan struct{})
-	ctx := &hookCtx{Context: context.Background(), hook: func(call int32) {
-		if call == 2 { // waiting to hand out the second task
-			go func() { p.Close(); close(closed) }()
-		}
-	}}
-	const n = 6
-	var ran [n]atomic.Int32
-	err := p.ForEach(ctx, 2, n, func(_ struct{}, i int) error {
-		if i == 0 {
-			<-p.quit // hold the batch's one worker until the Close
-		}
-		ran[i].Add(1)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("err = %v, want nil", err)
-	}
-	for i := range ran {
-		if got := ran[i].Load(); got != 1 {
-			t.Errorf("job %d ran %d times, want 1", i, got)
-		}
-	}
-	close(release)
-	if err := <-busy; err != nil {
-		t.Fatalf("busy batch: %v", err)
-	}
-	<-closed
-}
