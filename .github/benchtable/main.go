@@ -21,7 +21,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"math"
 	"os"
@@ -73,14 +72,15 @@ type spread struct {
 	Q3     float64 `json:"q3"`
 }
 
+// doc is the document holding the tables.
+const doc = "docs/perf.md"
+
 func main() {
-	doc := flag.String("doc", filepath.Join("docs", "perf.md"), "document holding the tables")
-	flag.Parse()
 	files, err := filepath.Glob("BENCH_*.json")
 	if err != nil {
 		fatal(err)
 	}
-	text, err := os.ReadFile(*doc)
+	text, err := os.ReadFile(doc)
 	if err != nil {
 		fatal(err)
 	}
@@ -90,10 +90,10 @@ func main() {
 			fatal(fmt.Errorf("%s: %w", f, err))
 		}
 		if text, err = splice(text, f, render(tr)); err != nil {
-			fatal(fmt.Errorf("%s: %w", *doc, err))
+			fatal(fmt.Errorf("%s: %w", doc, err))
 		}
 	}
-	if err := os.WriteFile(*doc, text, 0o644); err != nil {
+	if err := os.WriteFile(doc, text, 0o644); err != nil {
 		fatal(err)
 	}
 }
@@ -175,28 +175,31 @@ func render(tr *trajectory) string {
 	fp := tr.Fingerprint
 	fmt.Fprintf(&b, "%s: `%s`, %s. Host: %v, %v/%v, nproc %v, GOMAXPROCS %v, %v.\n\n",
 		tr.Change, tr.Command, tr.Order, fp["cpu"], fp["goos"], fp["goarch"], fp["nproc"], fp["gomaxprocs"], fp["go"])
-	b.WriteString("| workload | pairs | seeds | exit ≠ 0 | failed ops, parent / change | runs with late sends, parent / change |\n")
-	b.WriteString("|---|---:|---|---:|---:|---:|\n")
+	b.WriteString("| workload | pairs | seeds | exit ≠ 0 | incorrect | failed ops, parent / change | runs with late sends, parent / change |\n")
+	b.WriteString("|---|---:|---|---:|---:|---:|---:|\n")
 	for _, w := range tr.Workloads {
 		var seeds []int64
-		var bad, failed [2]int
-		var late [2]int
+		var exited, incorrect int
+		var failed, late [2]int
 		for _, r := range w.Runs {
 			s := 0
 			if r.Side == "change" {
 				s = 1
 				seeds = append(seeds, r.Seed)
 			}
-			if r.Exit != 0 || !r.Correct {
-				bad[s]++
+			if r.Exit != 0 {
+				exited++
+			}
+			if !r.Correct {
+				incorrect++
 			}
 			failed[s] += r.Failed
 			if r.LateSends > 0 {
 				late[s]++
 			}
 		}
-		fmt.Fprintf(&b, "| `%s` | %d | %s | %d | %d / %d | %d / %d |\n",
-			w.Name, len(seeds), seedRange(seeds), bad[0]+bad[1], failed[0], failed[1], late[0], late[1])
+		fmt.Fprintf(&b, "| `%s` | %d | %s | %d | %d | %d / %d | %d / %d |\n",
+			w.Name, len(seeds), seedRange(seeds), exited, incorrect, failed[0], failed[1], late[0], late[1])
 	}
 	b.WriteString("\n| workload | metric | parent, median [q1, q3] | change, median [q1, q3] | change | change better in |\n")
 	b.WriteString("|---|---|---:|---:|---:|---:|\n")
