@@ -9,7 +9,10 @@
 // parent/change pairs of `bash bench/run.sh`, each metric's median and
 // quartiles on each side, the machine fingerprint and the model hashes
 // the runs printed. The table is computed from the runs, and the tool
-// refuses a file whose stored summary disagrees with them. CI
+// refuses a file whose stored summary disagrees with them. A run that
+// exited non-zero (bench refuses a run whose load generator fell behind
+// its schedule) is counted in the first table but has no metrics, so
+// the summaries and the pair counts leave out its whole pair. CI
 // regenerates the tables and fails when the committed docs/perf.md
 // differs.
 //
@@ -137,15 +140,32 @@ func close4(a, b spread) bool {
 	return eq(a.Q1, b.Q1) && eq(a.Median, b.Median) && eq(a.Q3, b.Q3)
 }
 
-// values returns one side's values of a metric, in run order.
+// values returns one side's values of a metric over the complete pairs,
+// in run order.
 func values(w workload, metric, side string) []float64 {
+	done := complete(w)
 	var v []float64
 	for _, r := range w.Runs {
-		if r.Side == side {
+		if r.Side == side && done[r.Seed] {
 			v = append(v, r.Metrics[metric])
 		}
 	}
 	return v
+}
+
+// complete returns the seeds whose parent and change runs both exited 0.
+func complete(w workload) map[int64]bool {
+	exited := map[int64]int{}
+	for _, r := range w.Runs {
+		if r.Exit == 0 {
+			exited[r.Seed]++
+		}
+	}
+	done := map[int64]bool{}
+	for seed, k := range exited {
+		done[seed] = k == 2
+	}
+	return done
 }
 
 // quartiles returns the three cut points of Python's
@@ -190,7 +210,7 @@ func render(tr *trajectory) string {
 			if r.Exit != 0 {
 				exited++
 			}
-			if !r.Correct {
+			if r.Exit == 0 && !r.Correct {
 				incorrect++
 			}
 			failed[s] += r.Failed
@@ -215,22 +235,22 @@ func render(tr *trajectory) string {
 	return b.String()
 }
 
-// wins counts the pairs (runs of one seed) in which the change read
-// better than the parent; ties count for neither.
+// wins counts the complete pairs in which the change read better than
+// the parent; ties count for neither.
 func wins(w workload, m metricSpec) (won, pairs int) {
+	done := complete(w)
 	parent := map[int64]float64{}
 	for _, r := range w.Runs {
-		if r.Side == "parent" {
+		if r.Side == "parent" && done[r.Seed] {
 			parent[r.Seed] = r.Metrics[m.Name]
 		}
 	}
 	for _, r := range w.Runs {
-		p, ok := parent[r.Seed]
-		if r.Side != "change" || !ok {
+		if r.Side != "change" || !done[r.Seed] {
 			continue
 		}
 		pairs++
-		c := r.Metrics[m.Name]
+		p, c := parent[r.Seed], r.Metrics[m.Name]
 		if (m.Better == "lower" && c < p) || (m.Better == "higher" && c > p) {
 			won++
 		}
