@@ -12,6 +12,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"mvg/internal/core"
@@ -276,10 +277,14 @@ func BenchmarkExtractBatch(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			pool := parallel.NewPool(core.NewScratch)
 			defer pool.Close()
-			// One warm-up job per worker, each the whole dataset: a job
-			// lasts far longer than a parked worker takes to claim one,
-			// so every worker runs one.
+			// One warm-up job per worker, each the whole dataset. A job
+			// waits until every job has been claimed, so no worker can
+			// claim two and each worker runs one.
+			var claimed sync.WaitGroup
+			claimed.Add(workers)
 			err := pool.ForEach(ctx, workers, workers, func(sc *core.Scratch, _ int) error {
+				claimed.Done()
+				claimed.Wait()
 				for _, s := range series {
 					if _, err := e.ExtractWith(sc, s); err != nil {
 						return err
