@@ -193,7 +193,7 @@ func (e *Extractor) FeatureNames(n int) []string {
 }
 
 // degreeGraph is a graph whose degree statistics a feature block reads: a
-// built CSR graph, or a counting ring's live window read in place.
+// built CSR graph, or a ring's live window read in place.
 type degreeGraph interface {
 	DegreesInto(dst []int) []int
 	DegeneracyScratch(s *graph.CoreScratch) int
@@ -235,9 +235,9 @@ func (e *Extractor) graphBlock(dst []float64, g degreeGraph, sub graph.Subgraphs
 }
 
 // transitivity is the global clustering coefficient 3·triangles / wedges
-// (0 without wedges) from counts already in hand: the same two integers
-// graph.Graph.Transitivity divides, since every wedge is an induced 3-path
-// or one of a triangle's three.
+// (0 without wedges) from motif counts already in hand: every wedge (a
+// path on three vertices, induced or not) is an induced 3-path (M32) or
+// one of a triangle's (M31) three.
 func transitivity(c motif.Counts) float64 {
 	wedges := c.M32 + 3*c.M31
 	if wedges == 0 {
@@ -267,11 +267,10 @@ func (e *Extractor) ExtractWith(sc *Scratch, series []float64) ([]float64, error
 // some scales — the entry point of the streaming engine (mvg.Stream).
 // rings[i], when present and non-nil, holds the window of the i-th output
 // scale (T_i under Uniscale and Multiscale), and each of its graphs that
-// the configuration uses replaces a build. A counting ring's block is
-// read off the ring in place: its maintained subgraph counts replace the
-// motif enumeration, and its degrees and rows give the other statistics.
-// Any other ring is snapshotted into CSR and enumerated. Every other
-// scale is built from the series as in ExtractWith.
+// the configuration uses replaces a build. A ring's block is read off the
+// ring in place: its maintained subgraph counts replace the motif
+// enumeration, and its degrees and rows give the other statistics. Every
+// graph without a ring is built from the series as in ExtractWith.
 //
 // The output is bit-identical to ExtractWith provided each ring holds the
 // batch builders' graph of its scale, which holds exactly when
@@ -327,32 +326,27 @@ func (e *Extractor) ExtractWithRings(sc *Scratch, series []float64, rings []*vis
 }
 
 // scaleBlock appends the feature block of scale t's VG (or HVG, when hvg
-// is set). With no ring, the graph is built from t and its subgraphs
-// enumerated. A counting ring supplies its maintained subgraph counts and
-// is read in place; any other ring is snapshotted into CSR, whose
-// subgraphs are enumerated.
+// is set). A ring supplies its maintained subgraph counts and is read in
+// place; with no ring, the graph is built from t and its subgraphs
+// enumerated.
 func (e *Extractor) scaleBlock(dst []float64, sc *Scratch, t []float64, ring *graph.RingGraph, hvg bool) ([]float64, error) {
 	if ring != nil {
 		if ring.Len() != len(t) {
 			return nil, fmt.Errorf("core: supplied ring graph has %d vertices, scale has %d", ring.Len(), len(t))
 		}
-		if sub, counted := ring.Subgraphs(); counted {
-			return e.graphBlock(dst, ring, sub, hvg, sc), nil
-		}
-		ring.ToCSR(&sc.g)
-	} else {
-		var edges [][2]int
-		var err error
-		if hvg {
-			edges, err = sc.vis.HVGEdges(t)
-		} else {
-			edges, err = sc.vis.VGEdges(t)
-		}
-		if err != nil {
-			return nil, err
-		}
-		sc.g.BuildUnchecked(len(t), edges)
+		return e.graphBlock(dst, ring, ring.Subgraphs(), hvg, sc), nil
 	}
+	var edges [][2]int
+	var err error
+	if hvg {
+		edges, err = sc.vis.HVGEdges(t)
+	} else {
+		edges, err = sc.vis.VGEdges(t)
+	}
+	if err != nil {
+		return nil, err
+	}
+	sc.g.BuildUnchecked(len(t), edges)
 	return e.graphBlock(dst, &sc.g, sc.motifs.Subgraphs(&sc.g), hvg, sc), nil
 }
 

@@ -17,7 +17,7 @@ import (
 // engine behind mvg.Stream: window graphs and their subgraph counts kept
 // current per sample) against rebuilding the window's graphs on every
 // slide (hop=1, the worst case), reports feature throughput at a hop on
-// each side of mvg.Stream's maintain-or-recount rule, and verifies the
+// each side of mvg.Stream's maintain-or-rebuild rule, and verifies the
 // determinism contract — stream features bit-identical to batch
 // extraction — on the fly.
 func (r *Runner) RunStream() error {
@@ -52,7 +52,7 @@ func (r *Runner) RunStream() error {
 	// Incremental maintenance at hop=1: every push keeps both window
 	// graphs and their subgraph counts current, as mvg.Stream does at a
 	// hop this small.
-	inc, err := visibility.NewPyramid(windowLen, 0, true, true, true)
+	inc, err := visibility.NewPyramid(windowLen, 0, true, true)
 	if err != nil {
 		return err
 	}
@@ -97,24 +97,32 @@ func (r *Runner) RunStream() error {
 	}
 	recRate := float64(rebuilt) / time.Since(start).Seconds()
 
-	// Features at a serving hop on each side of the maintain-or-recount
-	// rule: uniscale at hop windowLen/8 snapshots the T0 rings and
-	// recounts; multiscale at hop 8 closes maintained counts on T0 and on
-	// the three pyramid levels the hop aligns with.
-	uvgHop := windowLen / 8
-	uvgRate, uvgHops, uvgSame, err := streamFeatures(uvg, samples, windowLen, uvgHop, 0, false)
+	// Features at a serving hop on each side of the maintain-or-rebuild
+	// rule: uniscale at hop windowLen/4 keeps only the samples and builds
+	// the window's graphs per hop; multiscale at hop 8 closes maintained
+	// counts on T0 and on the three pyramid levels the hop aligns with.
+	uvgHop := windowLen / 4
+	samplesOnly, err := visibility.NewPyramid(windowLen, 0, false, false)
+	if err != nil {
+		return err
+	}
+	uvgRate, uvgHops, uvgSame, err := streamFeatures(uvg, samplesOnly, samples, uvgHop)
 	if err != nil {
 		return err
 	}
 	levels := visibility.AlignedLevels(windowLen, 8, mvg.NumScales(windowLen)-1)
-	mvgRate, mvgHops, mvgSame, err := streamFeatures(mvg, samples, windowLen, 8, levels, true)
+	rings, err := visibility.NewPyramid(windowLen, levels, true, true)
+	if err != nil {
+		return err
+	}
+	mvgRate, mvgHops, mvgSame, err := streamFeatures(mvg, rings, samples, 8)
 	if err != nil {
 		return err
 	}
 
 	tbl.row("incremental push", "1", fmt.Sprintf("%.0f", incRate), fmt.Sprintf("%.1fx", incRate/recRate), "—")
 	tbl.row("full recompute", "1", fmt.Sprintf("%.0f", recRate), "1.0x", "—")
-	tbl.row("uvg recount+features", fmt.Sprint(uvgHop), fmt.Sprintf("%.0f", uvgRate), "", fmt.Sprintf("%v (%d hops)", uvgSame, uvgHops))
+	tbl.row("uvg rebuild+features", fmt.Sprint(uvgHop), fmt.Sprintf("%.0f", uvgRate), "", fmt.Sprintf("%v (%d hops)", uvgSame, uvgHops))
 	tbl.row("mvg maintained+features", "8", fmt.Sprintf("%.0f", mvgRate), "", fmt.Sprintf("%v (%d hops)", mvgSame, mvgHops))
 	tbl.flush()
 	fmt.Fprintln(w)
@@ -124,16 +132,13 @@ func (r *Runner) RunStream() error {
 	return nil
 }
 
-// streamFeatures pushes samples through a pyramid of the given levels and
-// extracts the window's features on every hop, as mvg.Stream does. It
-// returns the stream's samples per second (the batch check excluded), the
-// hops taken, and whether every vector was bit-identical to batch
-// extraction of the window.
-func streamFeatures(e *core.Extractor, samples []float64, windowLen, hop, levels int, counting bool) (rate float64, hops int, identical bool, err error) {
-	pyr, err := visibility.NewPyramid(windowLen, levels, true, true, counting)
-	if err != nil {
-		return 0, 0, false, err
-	}
+// streamFeatures pushes samples through pyr and extracts the window's
+// features on every hop, as mvg.Stream does. It returns the stream's
+// samples per second (the batch check excluded), the hops taken, and
+// whether every vector was bit-identical to batch extraction of the
+// window.
+func streamFeatures(e *core.Extractor, pyr *visibility.Pyramid, samples []float64, hop int) (rate float64, hops int, identical bool, err error) {
+	windowLen := pyr.Window().WindowLen()
 	sc := core.NewScratch()
 	var window []float64
 	var spent time.Duration

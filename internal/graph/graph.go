@@ -13,7 +13,7 @@
 // count → prefix sum → destination-grouped scatter → source-row scatter)
 // that emits every row already sorted, so no comparison sort ever runs —
 // see docs/perf.md for the construction in detail. All per-feature walks
-// (motif counting, core decomposition, transitivity, assortativity)
+// (motif counting, core decomposition, assortativity)
 // traverse these contiguous rows, which is what keeps their constants low
 // on the sparse graphs visibility transforms produce.
 package graph
@@ -204,14 +204,8 @@ func (g *Graph) Edges() [][2]int {
 	return out
 }
 
-// Degrees returns the degree sequence.
-func (g *Graph) Degrees() []int {
-	return g.DegreesInto(nil)
-}
-
 // DegreesInto writes the degree sequence into dst, growing it as needed,
-// and returns the filled slice. Passing a reused buffer avoids the
-// allocation of Degrees.
+// and returns the filled slice.
 func (g *Graph) DegreesInto(dst []int) []int {
 	dst = buf.Grow(dst, g.n)
 	for v := 0; v < g.n; v++ {

@@ -163,15 +163,3 @@ func HVGDegeneracy(n, m int) int {
 		return 2
 	}
 }
-
-// KCore returns the vertex set of the k-core: every vertex whose core
-// number is at least k.
-func (g *Graph) KCore(k int) []int {
-	var out []int
-	for v, c := range g.CoreNumbers() {
-		if c >= k {
-			out = append(out, v)
-		}
-	}
-	return out
-}

@@ -29,14 +29,13 @@ import (
 //     already purged of earlier evictions — is the head entry of every row
 //     that contains it, so removal is a per-row head advance.
 //
-// A counting ring (NewCountingRingGraph) also keeps the window's
-// Subgraphs current: each mutation adds or removes exactly the subgraph
-// copies that contain the appended or evicted vertex (see countAt). Its
-// other statistics are read off the rows in place: DegreesInto,
-// DegeneracyScratch and DegreeEntropyScratch give what Graph's methods
-// give on the window. ToCSR materializes the window as an ordinary CSR
-// Graph (vertices renumbered to 0..Len-1 in window order) for the motif
-// enumeration of a ring that does not count.
+// The ring also keeps the window's Subgraphs current: each mutation adds
+// or removes exactly the subgraph copies that contain the appended or
+// evicted vertex (see countAt). Its other statistics are read off the
+// rows in place: DegreesInto, DegeneracyScratch and DegreeEntropyScratch
+// give what Graph's methods give on the window. ToCSR materializes the
+// window as an ordinary CSR Graph (vertices renumbered to 0..Len-1 in
+// window order), the oracle the differential tests hold the ring to.
 //
 // A RingGraph must not be shared between goroutines. The zero value is not
 // ready for use; construct with NewRingGraph or Reset.
@@ -50,19 +49,19 @@ type RingGraph struct {
 	rows  [][]arc // slot → arcs to ascending logical neighbor ids (with a dead prefix)
 	heads []int   // slot → index of the first live entry of rows[slot]
 
-	cnt *ringCounts // nil unless the ring counts subgraphs
+	cnt ringCounts
 }
 
 // arc is one adjacency row entry: the neighbor's logical id modulo 2³²
-// and, in a counting ring, the number of triangles on the edge (t_e).
+// and the number of triangles on the edge (t_e).
 type arc struct {
 	id  uint32
 	tri int32
 }
 
-// ringCounts is what a counting RingGraph keeps besides its rows: the
-// totals, the per-vertex degree and triangle counts the local count reads,
-// and its reusable scratch. Per-vertex arrays are indexed by slot.
+// ringCounts is what a RingGraph keeps besides its rows: the totals, the
+// per-vertex degree and triangle counts the local count reads, and its
+// reusable scratch. Per-vertex arrays are indexed by slot.
 type ringCounts struct {
 	totals Subgraphs // every field but N and M, which the ring tracks anyway
 
@@ -91,17 +90,8 @@ func NewRingGraph(capacity int) *RingGraph {
 	return r
 }
 
-// NewCountingRingGraph returns an empty ring graph that also keeps its
-// Subgraphs current under every Append and Evict.
-func NewCountingRingGraph(capacity int) *RingGraph {
-	r := &RingGraph{cnt: &ringCounts{}}
-	r.Reset(capacity)
-	return r
-}
-
 // Reset reinitializes r in place to an empty window of the given capacity,
-// retaining row storage when the capacity is unchanged. A counting ring
-// stays counting.
+// retaining row storage when the capacity is unchanged.
 func (r *RingGraph) Reset(capacity int) {
 	if capacity < 1 {
 		capacity = 1
@@ -110,25 +100,21 @@ func (r *RingGraph) Reset(capacity int) {
 	if capacity != r.capacity || r.rows == nil {
 		r.rows = make([][]arc, slots)
 		r.heads = make([]int, slots)
-		if c := r.cnt; c != nil {
-			*c = ringCounts{
-				deg:   make([]int32, slots),
-				tri:   make([]int64, slots),
-				codeg: make([]int64, slots),
-				sidx:  make([]int32, slots),
-				base:  c.base,
-			}
+		r.cnt = ringCounts{
+			deg:   make([]int32, slots),
+			tri:   make([]int64, slots),
+			codeg: make([]int64, slots),
+			sidx:  make([]int32, slots),
+			base:  r.cnt.base,
 		}
 	} else {
 		for i := range r.rows {
 			r.rows[i] = r.rows[i][:0]
 			r.heads[i] = 0
 		}
-		if c := r.cnt; c != nil {
-			c.totals = Subgraphs{}
-			clear(c.deg)
-			clear(c.tri)
-		}
+		r.cnt.totals = Subgraphs{}
+		clear(r.cnt.deg)
+		clear(r.cnt.tri)
 	}
 	r.capacity = capacity
 	r.mask = slots - 1
@@ -168,15 +154,11 @@ func (r *RingGraph) DegreesInto(dst []int) []int {
 }
 
 // Subgraphs returns the live window's subgraph counts, equal to
-// motif.Counter.Subgraphs of its ToCSR snapshot. ok is false, and the
-// counts zero, unless the ring was built by NewCountingRingGraph.
-func (r *RingGraph) Subgraphs() (s Subgraphs, ok bool) {
-	if r.cnt == nil {
-		return Subgraphs{}, false
-	}
-	s = r.cnt.totals
+// motif.Counter.Subgraphs of its ToCSR snapshot.
+func (r *RingGraph) Subgraphs() Subgraphs {
+	s := r.cnt.totals
 	s.N, s.M = int64(r.count), int64(r.m)
-	return s, true
+	return s
 }
 
 // Append adds the next vertex (logical id Start()+Len()) linked to the
@@ -200,13 +182,12 @@ func (r *RingGraph) Append(neighbors []int) int {
 	r.rows[slot] = row
 	r.m += len(neighbors)
 	r.count++
-	if c := r.cnt; c != nil {
-		c.deg[slot] = int32(len(neighbors))
-		for _, v := range neighbors {
-			c.deg[v&r.mask]++
-		}
-		r.countAt(id, true)
+	deg := r.cnt.deg
+	deg[slot] = int32(len(neighbors))
+	for _, v := range neighbors {
+		deg[v&r.mask]++
 	}
+	r.countAt(id, true)
 	return id
 }
 
@@ -218,17 +199,13 @@ func (r *RingGraph) Evict() {
 	}
 	u := r.start
 	uslot := u & r.mask
-	if r.cnt != nil {
-		r.countAt(u, false)
-	}
+	r.countAt(u, false)
 	row := r.rows[uslot][r.heads[uslot]:]
 	for _, a := range row {
 		// u is v's smallest live neighbor: advance past it.
 		vslot := int(a.id) & r.mask
 		r.heads[vslot]++
-		if r.cnt != nil {
-			r.cnt.deg[vslot]--
-		}
+		r.cnt.deg[vslot]--
 	}
 	r.m -= len(row)
 	r.rows[uslot] = r.rows[uslot][:0]
@@ -262,7 +239,7 @@ func (r *RingGraph) Evict() {
 // of S yields every sum: the neighbour degrees, t_uv from the S marks,
 // the co-degrees of the 4-cycle term, and G[S] itself.
 func (r *RingGraph) countAt(u int, appended bool) {
-	c := r.cnt
+	c := &r.cnt
 	mask := r.mask
 	uslot := u & mask
 	nbrs := r.rows[uslot][r.heads[uslot]:]
@@ -385,9 +362,10 @@ func (r *RingGraph) countAt(u int, appended bool) {
 // snapshot lists the edges as BuildUnchecked would receive them and goes
 // through the same counting-sort build as the batch visibility
 // constructors, so a RingGraph holding the same edge set as a batch-built
-// window produces a bit-identical CSR layout — the property mvg.Stream's
-// determinism contract rests on. All of g's storage is reused across
-// snapshots.
+// window produces a bit-identical CSR layout. The differential tests
+// recount and re-measure this snapshot to check what the ring maintains
+// and reads in place; no extraction path calls it. All of g's storage is
+// reused across snapshots.
 func (r *RingGraph) ToCSR(g *Graph) {
 	el := buf.Grow(g.elist, 2*r.m)[:0]
 	start := uint32(r.start)

@@ -174,7 +174,7 @@ func TestRingGraphSnapshotAllocFree(t *testing.T) {
 	}
 }
 
-// TestRingGraphIDWraparound starts a counting ring just below 2³², where
+// TestRingGraphIDWraparound starts a ring just below 2³², where
 // the ids its rows hold wrap around, and requires its snapshots and
 // subgraph counts to match a ring fed the same window-relative edges from
 // id 0.
@@ -184,7 +184,7 @@ func TestRingGraphIDWraparound(t *testing.T) {
 		t.Skip("int cannot hold ids past 2³²")
 	}
 	const capacity = 16
-	wrapped, plain := NewCountingRingGraph(capacity), NewCountingRingGraph(capacity)
+	wrapped, plain := NewRingGraph(capacity), NewRingGraph(capacity)
 	wrapped.start = int(high)
 	rng := rand.New(rand.NewSource(11))
 	var a, b Graph
@@ -206,9 +206,7 @@ func TestRingGraphIDWraparound(t *testing.T) {
 		wrapped.ToCSR(&a)
 		plain.ToCSR(&b)
 		identicalCSR(t, &a, &b)
-		ws, _ := wrapped.Subgraphs()
-		ps, _ := plain.Subgraphs()
-		if ws != ps {
+		if ws, ps := wrapped.Subgraphs(), plain.Subgraphs(); ws != ps {
 			t.Fatalf("step %d: wrapped ring counts %+v, want %+v", step, ws, ps)
 		}
 	}

@@ -5,7 +5,7 @@ package graph
 // motif counts: every field but N counts the copies of one pattern as a
 // set of edges (a triangle contributes three wedges, a 4-clique six
 // diamonds). motif.Counter.Subgraphs enumerates them on a built graph; a
-// counting RingGraph keeps them current as its window slides.
+// RingGraph keeps them current as its window slides.
 type Subgraphs struct {
 	N int64 // vertices
 	M int64 // edges

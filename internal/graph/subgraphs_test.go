@@ -11,7 +11,7 @@ import (
 	"mvg/internal/visibility"
 )
 
-// ringShapes returns the series the counting ring is pinned on, each of
+// ringShapes returns the series the ring is pinned on, each of
 // length n: the stream suite's adversarial shapes plus a smoothed walk,
 // whose visibility graphs are far denser than a raw walk's.
 func ringShapes(n int, seed int64) map[string][]float64 {
@@ -36,7 +36,7 @@ func ringShapes(n int, seed int64) map[string][]float64 {
 	return out
 }
 
-// ringChecker slides a counting ring over a series, linking each new
+// ringChecker slides a ring over a series, linking each new
 // sample to its visibility neighbours in the window as the batch builder
 // finds them, and checks the maintained counts and the statistics read
 // off the ring against the ring's snapshot after every Evict and every
@@ -55,7 +55,7 @@ type ringChecker struct {
 
 func (c *ringChecker) run(series []float64, windowLen int) {
 	c.t.Helper()
-	r := graph.NewCountingRingGraph(windowLen)
+	r := graph.NewRingGraph(windowLen)
 	c.check(r, "empty")
 	for i := range series {
 		if r.Len() == windowLen {
@@ -93,10 +93,7 @@ func (c *ringChecker) run(series []float64, windowLen int) {
 func (c *ringChecker) check(r *graph.RingGraph, op string) {
 	c.t.Helper()
 	r.ToCSR(&c.snap)
-	got, ok := r.Subgraphs()
-	if !ok {
-		c.t.Fatal("counting ring reports no subgraph counts")
-	}
+	got := r.Subgraphs()
 	if gc, wc := motif.FromSubgraphs(got), c.ctr.Count(&c.snap); gc != wc {
 		c.t.Fatalf("%s: after %s of window [%d,+%d): counts %+v, want %+v\nmaintained %+v\nrecount    %+v",
 			c.label, op, r.Start(), r.Len(), gc, wc, got, c.ctr.Subgraphs(&c.snap))
@@ -143,8 +140,8 @@ func (c *ringChecker) checkStats(r *graph.RingGraph, op string) {
 	}
 }
 
-// TestRingSubgraphsAgainstBatch is the differential suite of the counting
-// ring: VG and HVG windows of every shape and length, checked against
+// TestRingSubgraphsAgainstBatch is the differential suite of the ring's
+// maintained counts: VG and HVG windows of every shape and length, checked against
 // motif.Counter on the snapshot after every mutation.
 func TestRingSubgraphsAgainstBatch(t *testing.T) {
 	for _, windowLen := range []int{2, 3, 16, 64, 512} {
@@ -166,14 +163,14 @@ func TestRingSubgraphsAgainstBatch(t *testing.T) {
 	}
 }
 
-// TestRingSubgraphsDenseGraphs drives the counting ring with random edge
+// TestRingSubgraphsDenseGraphs drives the ring with random edge
 // sets far denser than visibility graphs produce, so that every term of
 // the local count (4-cliques in particular) is exercised at volume.
 func TestRingSubgraphsDenseGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	c := &ringChecker{t: t, label: "dense"}
 	for _, capacity := range []int{5, 12} {
-		r := graph.NewCountingRingGraph(capacity)
+		r := graph.NewRingGraph(capacity)
 		for step := 0; step < 600; step++ {
 			if r.Len() == capacity || (r.Len() > 0 && rng.Intn(5) == 0) {
 				r.Evict()
@@ -193,11 +190,11 @@ func TestRingSubgraphsDenseGraphs(t *testing.T) {
 	}
 }
 
-// TestRingSubgraphsAllocFree pins the steady state: a warm counting ring
+// TestRingSubgraphsAllocFree pins the steady state: a warm ring
 // slides without allocating.
 func TestRingSubgraphsAllocFree(t *testing.T) {
 	series := ringShapes(4096, 9)["walk"]
-	inc, err := visibility.NewIncremental(256, true, true, true)
+	inc, err := visibility.NewIncremental(256, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,17 +211,11 @@ func TestRingSubgraphsAllocFree(t *testing.T) {
 		i++
 	})
 	if allocs > 0 {
-		t.Fatalf("warm counting slide allocates %.2f/op, want 0", allocs)
+		t.Fatalf("warm slide allocates %.2f/op, want 0", allocs)
 	}
 }
 
-func TestNonCountingRingHasNoSubgraphs(t *testing.T) {
-	if _, ok := graph.NewRingGraph(4).Subgraphs(); ok {
-		t.Fatal("a plain ring graph reports subgraph counts")
-	}
-}
-
-// FuzzRingStatsAgainstBatch fuzzes the counting ring against the batch
+// FuzzRingStatsAgainstBatch fuzzes the ring against the batch
 // counter and the snapshot's statistics: random samples and window
 // lengths, VG and HVG, checked after every Append and Evict. The nightly
 // fuzz workflow runs it for 5 minutes.

@@ -342,7 +342,7 @@ func (ctr *Counter) Subgraphs(g *graph.Graph) graph.Subgraphs {
 // inclusion–exclusion identities between non-induced and induced subgraph
 // counts, and the disconnected motifs from complement identities against
 // the C(n,3)/C(n,4) totals. It is the one copy of those identities, shared
-// by Counter.Count and the counting ring graphs of mvg.Stream.
+// by Counter.Count and the ring graphs of mvg.Stream.
 func FromSubgraphs(s graph.Subgraphs) Counts {
 	n64, m64 := s.N, s.M
 	tri, k4, wedges := s.Triangles, s.Cliques4, s.Wedges

@@ -37,16 +37,16 @@ func AlignedLevels(windowLen, hop, maxLevel int) int {
 
 // NewPyramid returns a Pyramid over windows of windowLen samples that
 // maintains the given number of halvings below the window (windowLen must
-// be divisible by 2^levels). maintainVG, maintainHVG and counting apply to
-// every level as in NewIncremental.
-func NewPyramid(windowLen, levels int, maintainVG, maintainHVG, counting bool) (*Pyramid, error) {
+// be divisible by 2^levels). maintainVG and maintainHVG apply to every
+// level as in NewIncremental.
+func NewPyramid(windowLen, levels int, maintainVG, maintainHVG bool) (*Pyramid, error) {
 	p := &Pyramid{
 		first:     make([]float64, levels),
 		badUntil:  make([]int, levels),
 		windowLen: windowLen,
 	}
 	for k := 0; k <= levels; k++ {
-		inc, err := NewIncremental(windowLen>>k, maintainVG, maintainHVG, counting)
+		inc, err := NewIncremental(windowLen>>k, maintainVG, maintainHVG)
 		if err != nil {
 			return nil, err
 		}

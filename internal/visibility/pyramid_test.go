@@ -34,7 +34,7 @@ func TestAlignedLevels(t *testing.T) {
 // times, its graphs identical to the batch builders' on those values.
 func TestPyramidLevelsMatchHalvings(t *testing.T) {
 	const windowLen, levels = 64, 3
-	p, err := NewPyramid(windowLen, levels, true, true, true)
+	p, err := NewPyramid(windowLen, levels, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestPyramidLevelsMatchHalvings(t *testing.T) {
 // and Reset clears it.
 func TestPyramidOverflowAndReset(t *testing.T) {
 	const windowLen = 16
-	p, err := NewPyramid(windowLen, 1, true, false, true)
+	p, err := NewPyramid(windowLen, 1, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestPyramidOverflowAndReset(t *testing.T) {
 }
 
 func TestNewPyramidRejectsShortWindows(t *testing.T) {
-	if _, err := NewPyramid(4, 2, true, true, false); !errors.Is(err, ErrWindowLen) {
+	if _, err := NewPyramid(4, 2, true, true); !errors.Is(err, ErrWindowLen) {
 		t.Fatalf("NewPyramid(4, 2) err = %v, want ErrWindowLen", err)
 	}
 }

@@ -38,9 +38,8 @@ var ErrWindowLen = errors.New("visibility: window needs at least 2 points")
 // Incremental maintains the natural and/or horizontal visibility graph of
 // a sliding window over a sample stream. Push appends one sample, evicting
 // the oldest automatically once the window is full; VG and HVG expose
-// the current window's ring graphs. A counting ring's features are read
-// off the ring itself; any other ring snapshots into CSR for the batch
-// feature kernels.
+// the current window's ring graphs, whose subgraph counts stay current as
+// the window slides and whose features are read off the rings in place.
 //
 // The maintained edge sets are identical to what the batch builders
 // (Builder.VGEdges / Builder.HVGEdges) produce on the materialized window
@@ -65,11 +64,9 @@ type Incremental struct {
 
 // NewIncremental returns a maintainer for windows of windowLen samples.
 // maintainVG / maintainHVG select which graphs are kept; with both false
-// the Incremental degrades to a plain sample ring (the fallback mode of
-// mvg.Stream, which then rebuilds graphs per hop). With counting set, the
-// kept graphs are counting ring graphs, whose subgraph counts stay
-// current as the window slides (graph.NewCountingRingGraph).
-func NewIncremental(windowLen int, maintainVG, maintainHVG, counting bool) (*Incremental, error) {
+// the Incremental degrades to a plain sample ring (as in an mvg.Stream
+// that rebuilds its graphs per hop).
+func NewIncremental(windowLen int, maintainVG, maintainHVG bool) (*Incremental, error) {
 	if windowLen < 2 {
 		return nil, fmt.Errorf("%w: windowLen=%d", ErrWindowLen, windowLen)
 	}
@@ -77,15 +74,11 @@ func NewIncremental(windowLen int, maintainVG, maintainHVG, counting bool) (*Inc
 		capacity: windowLen,
 		values:   make([]float64, windowLen),
 	}
-	ring := graph.NewRingGraph
-	if counting {
-		ring = graph.NewCountingRingGraph
-	}
 	if maintainVG {
-		inc.vg = ring(windowLen)
+		inc.vg = graph.NewRingGraph(windowLen)
 	}
 	if maintainHVG {
-		inc.hvg = ring(windowLen)
+		inc.hvg = graph.NewRingGraph(windowLen)
 	}
 	return inc, nil
 }

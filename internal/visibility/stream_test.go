@@ -30,7 +30,7 @@ func batchWindowGraphs(t *testing.T, b *Builder, window []float64) (vg, hvg *gra
 // against batch rebuilds of the materialized window after every push.
 func slideAndCompare(t *testing.T, name string, series []float64, windowLen int) {
 	t.Helper()
-	inc, err := NewIncremental(windowLen, true, true, false)
+	inc, err := NewIncremental(windowLen, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestIncrementalLongStream(t *testing.T) {
 }
 
 func TestIncrementalSampleRingOnly(t *testing.T) {
-	inc, err := NewIncremental(4, false, false, false)
+	inc, err := NewIncremental(4, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestIncrementalSampleRingOnly(t *testing.T) {
 }
 
 func TestIncrementalRejectsNonFinite(t *testing.T) {
-	inc, err := NewIncremental(8, true, true, false)
+	inc, err := NewIncremental(8, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,13 +147,13 @@ func TestIncrementalRejectsNonFinite(t *testing.T) {
 }
 
 func TestIncrementalWindowLenValidation(t *testing.T) {
-	if _, err := NewIncremental(1, true, true, false); !errors.Is(err, ErrWindowLen) {
+	if _, err := NewIncremental(1, true, true); !errors.Is(err, ErrWindowLen) {
 		t.Fatalf("NewIncremental(1) err = %v, want ErrWindowLen", err)
 	}
 }
 
 func TestIncrementalReset(t *testing.T) {
-	inc, err := NewIncremental(6, true, true, false)
+	inc, err := NewIncremental(6, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestIncrementalReset(t *testing.T) {
 // TestIncrementalPushAllocFree pins the hot-path contract: warm pushes
 // allocate nothing.
 func TestIncrementalPushAllocFree(t *testing.T) {
-	inc, err := NewIncremental(64, true, true, false)
+	inc, err := NewIncremental(64, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,25 +23,24 @@ import (
 // only on the samples between i and j — so sliding the window never
 // rewires surviving pairs. When the pipeline's preprocessing preserves
 // graph structure at the bit level (Config.NoDetrend and
-// Config.NoZNormalize set, any scale mode but "amvg"), the stream
-// maintains the window's T0 visibility graphs incrementally: appending a
-// sample adds only the new rightmost vertex's edges (HVG via the monotone
-// stack, amortized O(1); NVG via a backward max-slope scan with an early
-// exit), and evicting the oldest removes only its incident edges.
-// Otherwise the stream transparently falls back to re-extracting the
-// materialized window per hop; Incremental reports which mode is active.
+// Config.NoZNormalize set, any scale mode but "amvg"; Incremental reports
+// it) and the hop is small against the window (windowLen ≥ maintainRatio
+// × hop), the stream maintains the window's T0 visibility graphs as ring
+// graphs: appending a sample adds only the new rightmost vertex's edges
+// (HVG via the monotone stack, amortized O(1); NVG via a backward
+// max-slope scan with an early exit), and evicting the oldest removes
+// only its incident edges. Each push also keeps the rings' subgraph
+// counts current, so a hop closes them instead of counting the window's
+// subgraphs and reads the other statistics off the rings in place. Such a
+// stream also keeps a ring for every pyramid level T_k (k ≥ 1) that the
+// configuration uses and whose blocks of 2^k samples the hop aligns with
+// (2^k dividing both windowLen and hop). Features uses level k's ring
+// whenever the window starts on a block boundary (after a multiple of 2^k
+// pushes, which every hop is) and builds the level from the window
+// otherwise.
 //
-// When the hop is small against the window (windowLen ≥ maintainRatio ×
-// hop), the incremental stream also keeps the graphs' subgraph counts
-// current on every push, so a hop closes them instead of recounting the
-// window and reads the other statistics off the ring graphs in place.
-// Otherwise Features snapshots each ring graph into CSR and counts its
-// subgraphs there. A maintaining stream keeps a ring for every pyramid
-// level T_k (k ≥ 1) that the configuration uses and whose blocks of 2^k
-// samples the hop aligns with (2^k dividing both windowLen and hop).
-// Features uses level k's ring whenever the window starts on a block
-// boundary (after a multiple of 2^k pushes, which every hop is) and
-// builds the level from the window otherwise.
+// Any other stream keeps only the window's samples, and Features builds
+// every graph from the materialized window as batch extraction does.
 //
 // # Determinism contract
 //
@@ -69,13 +68,13 @@ type Stream struct {
 	alerts *alert.Evaluator // nil until SetAlerts; see alerting.go
 }
 
-// maintainRatio is the smallest windowLen/hop at which an incremental
-// stream keeps its graphs' subgraph counts current per push rather than
-// recounting the window per hop. Maintenance costs a few vertex updates
-// per sample, a recount the whole window once per hop; the measured
-// crossover and the margin this constant keeps from it are in
-// docs/perf.md.
-const maintainRatio = 16
+// maintainRatio is the smallest windowLen/hop at which a
+// structure-preserving stream keeps its graphs as rings, maintained per
+// push, rather than building them from the window per hop. Maintenance
+// costs a few vertex updates per sample, a rebuild the whole window once
+// per hop; the measured crossover and the margin this constant keeps from
+// it are in docs/perf.md.
+const maintainRatio = 8
 
 // NewStream returns a sliding-window extraction stream over this
 // pipeline's configuration: windows of windowLen samples, emitting one
@@ -99,14 +98,12 @@ func (p *Pipeline) NewStream(windowLen, hop int) (*Stream, error) {
 	// comparisons on renormalized floats is not bit-exact) and a scale
 	// mode in which T0 contributes features at all.
 	incremental := cfg.NoDetrend && cfg.NoZNormalize && cfg.Scale != "amvg"
-	maintainVG := incremental && cfg.Graphs != "hvg"
-	maintainHVG := incremental && cfg.Graphs != "vg"
 	maintain := incremental && windowLen >= maintainRatio*hop
 	levels := 0
 	if maintain {
 		levels = visibility.AlignedLevels(windowLen, hop, p.extractor.NumScales(windowLen)-1)
 	}
-	pyr, err := visibility.NewPyramid(windowLen, levels, maintainVG, maintainHVG, maintain)
+	pyr, err := visibility.NewPyramid(windowLen, levels, maintain && cfg.Graphs != "hvg", maintain && cfg.Graphs != "vg")
 	if err != nil {
 		return nil, err
 	}
@@ -142,10 +139,12 @@ func (s *Stream) Hop() int { return s.hop }
 // Pushed returns how many samples have been accepted so far.
 func (s *Stream) Pushed() int { return s.pushed }
 
-// Incremental reports whether the stream maintains its window graphs
-// incrementally (true) or re-extracts the window per hop (false; the
-// pipeline's preprocessing is not structure-preserving at the bit level —
-// see the type comment).
+// Incremental reports whether the stream's configuration preserves graph
+// structure at the bit level (Config.NoDetrend and Config.NoZNormalize
+// set, any scale mode but "amvg"), so that it can maintain its window
+// graphs incrementally. Whether it does also depends on the hop: with
+// windowLen < 8·hop it builds the graphs from the window on every hop, as
+// a stream that reports false always does (see the type comment).
 func (s *Stream) Incremental() bool { return s.incremental }
 
 // Ready reports whether Features/Predict may be called: the first full
@@ -204,8 +203,7 @@ func (s *Stream) Features() ([]float64, error) {
 	if !s.Ready() {
 		return nil, fmt.Errorf("%w: %d of %d samples", ErrStreamNotReady, s.pushed, s.windowLen)
 	}
-	// A fallback stream's pyramid keeps no graphs, so every scale is
-	// built from the window.
+	// A pyramid that keeps no rings has every scale built from the window.
 	s.window = s.pyr.Window().WindowInto(s.window)
 	return s.pipe.extractor.ExtractWithRings(s.sc, s.window, s.pyr.Aligned())
 }

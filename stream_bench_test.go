@@ -94,9 +94,9 @@ func streamBenchCfg() Config {
 
 // BenchmarkStreamHop measures the full per-hop serving cost — Push plus
 // Features — at hop=8, the latency-versus-cost tradeoff documented in
-// docs/streaming.md. At this geometry the stream keeps its subgraph
-// counts current per push, so a hop snapshots the T0 rings for the
-// remaining statistics and closes the counts.
+// docs/streaming.md. At this geometry the stream keeps its T0 graphs as
+// rings whose subgraph counts stay current per push, so a hop closes the
+// counts and reads the other statistics off the rings in place.
 func BenchmarkStreamHop(b *testing.B) {
 	benchStreamHop(b, streamBenchCfg(), 512, 8)
 }
@@ -108,9 +108,9 @@ func BenchmarkStreamHopMultiscale(b *testing.B) {
 	benchStreamHop(b, Config{NoDetrend: true, NoZNormalize: true}, 512, 8)
 }
 
-// BenchmarkStreamHopLargeHop is BenchmarkStreamHop on the recount side of
-// the maintain-or-recount rule: at hop=128 the stream keeps only the T0
-// ring graphs and recounts the snapshot per hop.
+// BenchmarkStreamHopLargeHop is BenchmarkStreamHop on the rebuild side of
+// the maintain-or-rebuild rule: at hop=128 the stream keeps only the
+// window's samples and builds its graphs from the window per hop.
 func BenchmarkStreamHopLargeHop(b *testing.B) {
 	benchStreamHop(b, streamBenchCfg(), 512, 128)
 }

@@ -6,19 +6,12 @@ import (
 	"testing"
 )
 
-// countsMaintained reports whether s keeps its subgraph counts current
-// per push (the maintained side of maintainRatio) rather than recounting.
-func countsMaintained(s *Stream) bool {
+// keepsRings reports whether the window of s keeps ring graphs, maintained
+// per push (the maintained side of maintainRatio), rather than building
+// its graphs per hop.
+func keepsRings(s *Stream) bool {
 	inc := s.pyr.Window()
-	ring := inc.VG()
-	if ring == nil {
-		ring = inc.HVG()
-	}
-	if ring == nil {
-		return false
-	}
-	_, ok := ring.Subgraphs()
-	return ok
+	return inc.VG() != nil || inc.HVG() != nil
 }
 
 // checkEveryPush pushes series through a stream and, after every push past
@@ -36,8 +29,8 @@ func checkEveryPush(t *testing.T, p *Pipeline, series []float64, windowLen, hop 
 	if !s.Incremental() {
 		t.Fatal("streaming config is not incremental")
 	}
-	if got := countsMaintained(s); got != wantMaintained {
-		t.Fatalf("window %d hop %d: counts maintained = %v, want %v", windowLen, hop, got, wantMaintained)
+	if got := keepsRings(s); got != wantMaintained {
+		t.Fatalf("window %d hop %d: keeps rings = %v, want %v", windowLen, hop, got, wantMaintained)
 	}
 	for i, x := range series {
 		if _, err := s.Push(x); err != nil {
@@ -61,9 +54,11 @@ func checkEveryPush(t *testing.T, p *Pipeline, series []float64, windowLen, hop 
 }
 
 // TestStreamFeaturesEveryPush pins the level rings of the multiscale
-// streaming configuration: at (512, 8) and (256, 4) the stream maintains
-// its counts and the pyramid levels the hop aligns with, at (128, 64) it
-// recounts, and Features matches batch extraction after every push.
+// streaming configuration: at (512, 8) and (256, 4) the stream keeps rings
+// for its window and the pyramid levels the hop aligns with, at (128, 64)
+// it keeps none and builds every graph per hop, and Features matches batch
+// extraction after every push. (256, 32) and (256, 33) sit on either side
+// of the ratio rule's boundary, windowLen = maintainRatio·hop.
 func TestStreamFeaturesEveryPush(t *testing.T) {
 	p, err := NewPipeline(streamCfg("mvg", "both"))
 	if err != nil {
@@ -77,6 +72,8 @@ func TestStreamFeaturesEveryPush(t *testing.T) {
 		{512, 8, 24, true},
 		{256, 4, 48, true},
 		{128, 64, 160, false},
+		{256, 32, 72, true},
+		{256, 33, 72, false},
 	} {
 		shapes := adversarialStreams(g.windowLen+g.extra, int64(g.windowLen))
 		smooth := make([]float64, len(shapes["walk"]))
@@ -116,7 +113,7 @@ func TestStreamLevelOverflow(t *testing.T) {
 // FuzzStreamAgainstBatchMultiscale fuzzes the multiscale streaming
 // configuration against batch extraction after every push, across window
 // lengths whose pyramids differ in depth and hops on both sides of the
-// maintain-or-recount rule. The nightly fuzz workflow runs it for 5
+// maintain-or-rebuild rule. The nightly fuzz workflow runs it for 5
 // minutes.
 func FuzzStreamAgainstBatchMultiscale(f *testing.F) {
 	f.Add([]byte{4, 7, 0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 130, 140, 150, 160, 170})
