@@ -14,6 +14,19 @@ func graphOf(n int, edges ...[2]int) *graph.Graph {
 	return graph.FromEdgesUnchecked(n, edges)
 }
 
+// randomGraph builds a G(n,p) graph.
+func randomGraph(n int, p float64, rng *rand.Rand) *graph.Graph {
+	var edges [][2]int
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if rng.Float64() < p {
+				edges = append(edges, [2]int{u, v})
+			}
+		}
+	}
+	return graphOf(n, edges...)
+}
+
 func TestTransitivityKnown(t *testing.T) {
 	var k5, p5 [][2]int
 	for u := 0; u < 5; u++ {
@@ -42,21 +55,26 @@ func TestTransitivityKnown(t *testing.T) {
 	}
 }
 
+// TestTransitivityBounds checks that the ratio stays in [0, 1] over the
+// whole range of edge densities.
+func TestTransitivityBounds(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		tr := transitivity(motif.Count(randomGraph(25, rng.Float64(), rng)))
+		return tr >= 0 && tr <= 1+1e-12
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestTransitivityMatchesMotifRatio checks the ratio against triangles and
 // induced wedges counted by brute force over every vertex triple.
 func TestTransitivityMatchesMotifRatio(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const n = 20
-		var edges [][2]int
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if rng.Float64() < 0.3 {
-					edges = append(edges, [2]int{u, v})
-				}
-			}
-		}
-		g := graphOf(n, edges...)
+		g := randomGraph(n, 0.3, rng)
 		var tri, wedge int
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
