@@ -149,20 +149,6 @@ type valueRow struct {
 	row int
 }
 
-// byValue orders valueRows by value. pdqsort uses a comparator only as
-// "cmp(a, b) < 0", which holds exactly when a.v < b.v: the same less
-// function the split scan has always sorted with, so ties land in the
-// same permutation and the gradient sums keep their order and their bits.
-func byValue(a, b valueRow) int {
-	switch {
-	case a.v < b.v:
-		return -1
-	case a.v > b.v:
-		return 1
-	}
-	return 0
-}
-
 // treeBuilder grows one regression tree on gradients/hessians. Its
 // buffers are sized to the training set once per Fit; growing a tree
 // allocates nothing but the nodes it appends.
@@ -212,7 +198,7 @@ func (b *treeBuilder) grow(idx []int, depth int) int32 {
 		for k, i := range idx {
 			pairs[k] = valueRow{col[i], i}
 		}
-		slices.SortFunc(pairs, byValue)
+		sortPairs(pairs)
 		var GL, HL float64
 		for k := 0; k+1 < len(pairs); k++ {
 			i := pairs[k].row

@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"mvg/internal/ucr"
 )
@@ -314,12 +315,30 @@ func plantedShapelets() Family {
 
 // hurstWalks generates power-law processes with different Hurst exponents
 // via spectral synthesis — the VG paper's original use case (estimating H).
+// Every series sums the same n/2 cosine and sine waves with its own
+// weights, so the family tabulates the waves once, on its first series,
+// and each series only weighs them: the same math.Cos and math.Sin calls
+// on the same arguments as evaluating them per series, hence the same
+// bits. The 512 KiB table lives as long as the Family value.
 func hurstWalks() Family {
+	const n = 256
+	type wave struct{ cos, sin [n]float64 }
+	waves := sync.OnceValue(func() []wave {
+		ws := make([]wave, n/2)
+		for k := 1; k <= n/2; k++ {
+			w := 2 * math.Pi * float64(k) / float64(n)
+			for i := range n {
+				ws[k-1].cos[i] = math.Cos(w * float64(i))
+				ws[k-1].sin[i] = math.Sin(w * float64(i))
+			}
+		}
+		return ws
+	})
 	return Family{
-		Name: "HurstWalks", Classes: 3, Length: 256, TrainSize: 60, TestSize: 120,
+		Name: "HurstWalks", Classes: 3, Length: n, TrainSize: 60, TestSize: 120,
 		Motivation: "fractality: VGs were introduced to estimate Hurst exponents of fBm",
 		gen: func(class int, rng *rand.Rand) []float64 {
-			n := 256
+			ws := waves()
 			h := []float64{0.25, 0.5, 0.75}[class]
 			// Spectral synthesis: S(f) ∝ f^{-(2H+1)}.
 			t := make([]float64, n)
@@ -328,9 +347,9 @@ func hurstWalks() Family {
 				phase := rng.Float64() * 2 * math.Pi
 				a := amp * math.Cos(phase)
 				b := amp * math.Sin(phase)
-				w := 2 * math.Pi * float64(k) / float64(n)
+				c, s := &ws[k-1].cos, &ws[k-1].sin
 				for i := range t {
-					t[i] += a*math.Cos(w*float64(i)) + b*math.Sin(w*float64(i))
+					t[i] += a*c[i] + b*s[i]
 				}
 			}
 			return t
