@@ -9,10 +9,13 @@
 // parent/change pairs of `bash bench/run.sh`, each metric's median and
 // quartiles on each side, the machine fingerprint and the model hashes
 // the runs printed. The table is computed from the runs, and the tool
-// refuses a file whose stored summary disagrees with them. A run that
-// exited non-zero (bench refuses a run whose load generator fell behind
-// its schedule) is counted in the first table but has no metrics, so
-// the summaries and the pair counts leave out its whole pair. CI
+// refuses a file whose stored summary disagrees with them. Beside each
+// side's median and quartiles it prints each metric's paired gain, the
+// per-seed difference signed so that positive means the change read
+// better, with the pairs won and a signed-rank p. A run that exited
+// non-zero (bench refuses a run whose load generator fell behind its
+// schedule) is counted in the first table but has no metrics, so the
+// summaries and the pair counts leave out its whole pair. CI
 // regenerates the tables and fails when the committed docs/perf.md
 // differs.
 //
@@ -23,6 +26,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -221,23 +225,31 @@ func render(tr *trajectory) string {
 		fmt.Fprintf(&b, "| `%s` | %d | %s | %d | %d | %d / %d | %d / %d |\n",
 			w.Name, len(seeds), seedRange(seeds), exited, incorrect, failed[0], failed[1], late[0], late[1])
 	}
-	b.WriteString("\n| workload | metric | parent, median [q1, q3] | change, median [q1, q3] | change | change better in |\n")
-	b.WriteString("|---|---|---:|---:|---:|---:|\n")
+	b.WriteString("\n| workload | metric | parent, median [q1, q3] | change, median [q1, q3] | change | change better in | paired gain, median [q1, q3] | signed-rank p |\n")
+	b.WriteString("|---|---|---:|---:|---:|---:|---:|---:|\n")
 	for _, w := range tr.Workloads {
 		for _, m := range tr.Metrics {
 			p := quartiles(values(w, m.Name, "parent"))
 			c := quartiles(values(w, m.Name, "change"))
-			won, pairs := wins(w, m)
-			fmt.Fprintf(&b, "| `%s` | `%s` (%s) | %s | %s | %+.1f%% | %d of %d pairs |\n",
-				w.Name, m.Name, m.Unit, format(p), format(c), 100*(c.Median-p.Median)/p.Median, won, pairs)
+			g := gains(w, m)
+			won := 0
+			for _, d := range g {
+				if d > 0 {
+					won++
+				}
+			}
+			fmt.Fprintf(&b, "| `%s` | `%s` (%s) | %s | %s | %+.1f%% | %d of %d pairs | %s | %.2g |\n",
+				w.Name, m.Name, m.Unit, format(p), format(c), 100*(c.Median-p.Median)/p.Median, won, len(g),
+				format(quartiles(g)), signedRankP(g))
 		}
 	}
 	return b.String()
 }
 
-// wins counts the complete pairs in which the change read better than
-// the parent; ties count for neither.
-func wins(w workload, m metricSpec) (won, pairs int) {
+// gains returns the per-seed differences of a metric over the complete
+// pairs, in run order, signed so that a positive gain means the change
+// read better than the parent.
+func gains(w workload, m metricSpec) []float64 {
 	done := complete(w)
 	parent := map[int64]float64{}
 	for _, r := range w.Runs {
@@ -245,17 +257,101 @@ func wins(w workload, m metricSpec) (won, pairs int) {
 			parent[r.Seed] = r.Metrics[m.Name]
 		}
 	}
+	var g []float64
 	for _, r := range w.Runs {
 		if r.Side != "change" || !done[r.Seed] {
 			continue
 		}
-		pairs++
-		p, c := parent[r.Seed], r.Metrics[m.Name]
-		if (m.Better == "lower" && c < p) || (m.Better == "higher" && c > p) {
-			won++
+		d := r.Metrics[m.Name] - parent[r.Seed]
+		if m.Better == "lower" {
+			d = -d
+		}
+		g = append(g, d)
+	}
+	return g
+}
+
+// exactPairs is the largest number of non-zero differences whose
+// signed-rank p is counted exactly; above it the normal approximation
+// is used.
+const exactPairs = 20
+
+// signedRankP returns the two-sided p-value of the Wilcoxon signed-rank
+// test on paired differences: zero differences are dropped and tied
+// magnitudes share their midrank. Up to exactPairs differences the
+// p-value counts, over all 2ⁿ sign assignments of the observed ranks,
+// those whose positive-rank sum lies at least as far from its mean as
+// the observed one (n wins of n give 2¹⁻ⁿ). Above that it uses the
+// normal approximation with the tie-corrected variance, as
+// internal/stats.Wilcoxon does for the paper's tables.
+func signedRankP(diffs []float64) float64 {
+	var nz []float64
+	for _, d := range diffs {
+		if d != 0 {
+			nz = append(nz, d)
 		}
 	}
-	return won, pairs
+	n := len(nz)
+	if n == 0 {
+		return 1
+	}
+	// Twice the midranks of |d|, which are integers.
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(math.Abs(nz[a]), math.Abs(nz[b])) })
+	rank2 := make([]int, n)
+	ties := 0.0 // Σ(t³ − t) over groups of tied magnitudes
+	for i := 0; i < n; {
+		j := i
+		for j+1 < n && math.Abs(nz[order[j+1]]) == math.Abs(nz[order[i]]) {
+			j++
+		}
+		for k := i; k <= j; k++ {
+			rank2[order[k]] = i + j + 2 // (i+1) + (j+1): twice the midrank
+		}
+		t := float64(j - i + 1)
+		ties += t*t*t - t
+		i = j + 1
+	}
+	total, obs := 0, 0
+	for i, d := range nz {
+		total += rank2[i]
+		if d > 0 {
+			obs += rank2[i]
+		}
+	}
+	// Distances from the mean are compared doubled: |2·W₊ − Σ| in units
+	// of doubled ranks, so every quantity stays an integer.
+	dist := func(w int) int { return max(2*w-total, total-2*w) }
+	if n > exactPairs {
+		fn := float64(n)
+		variance := fn*(fn+1)*(2*fn+1)/24 - ties/48
+		if variance <= 0 {
+			return 1
+		}
+		z := float64(dist(obs)) / 4 / math.Sqrt(variance)
+		return min(1, math.Erfc(z/math.Sqrt2))
+	}
+	// counts[w] is the number of sign assignments whose doubled
+	// positive-rank sum is w.
+	counts := make([]float64, total+1)
+	counts[0] = 1
+	top := 0
+	for _, r := range rank2 {
+		for w := top; w >= 0; w-- {
+			counts[w+r] += counts[w]
+		}
+		top += r
+	}
+	extreme := 0.0
+	for w, c := range counts {
+		if dist(w) >= dist(obs) {
+			extreme += c
+		}
+	}
+	return extreme / math.Ldexp(1, n)
 }
 
 func format(s spread) string {

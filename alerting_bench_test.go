@@ -17,37 +17,9 @@ import (
 // The classifier is a constant stub so the delta measured is the alerting
 // layer, not booster inference noise.
 func BenchmarkStreamWithAlerting(b *testing.B) {
-	const windowLen, hop = 512, 8
-	p, err := NewPipeline(streamBenchCfg())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
-
-	rng := rand.New(rand.NewSource(3))
-	samples := make([]float64, 1<<14)
-	level := 0.0
-	for i := range samples {
-		level += rng.NormFloat64()
-		samples[i] = level
-	}
-
-	// A model with a real drift baseline (centroids from two windows of the
-	// sample stream) but a free classifier.
-	X, err := p.Extract(context.Background(), [][]float64{
-		samples[:windowLen], samples[windowLen : 2*windowLen],
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	model := &Model{
-		pipe:      p,
-		clf:       constProbaClf{classes: 2},
-		classes:   2,
-		names:     p.FeatureNames(windowLen),
-		seriesLen: windowLen,
-		drift:     computeDriftBaseline(X, []int{0, 1}, 2),
-	}
+	model, samples, hop := alertingBenchModel(b)
+	defer model.pipe.Close()
+	windowLen := model.seriesLen
 
 	run := func(b *testing.B, alerting bool) {
 		s, err := model.NewStream(hop)
@@ -55,12 +27,7 @@ func BenchmarkStreamWithAlerting(b *testing.B) {
 			b.Fatal(err)
 		}
 		if alerting {
-			err := s.SetAlerts(
-				AlertTrigger{Kind: AlertKindFlip},
-				AlertTrigger{Kind: AlertKindProba, Class: 1, Rise: 0.9, Clear: 0.5},
-				AlertTrigger{Kind: AlertKindDrift, Rise: 1e9, Clear: 1},
-			)
-			if err != nil {
+			if err := s.SetAlerts(alertingBenchTriggers()...); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -98,4 +65,47 @@ func BenchmarkStreamWithAlerting(b *testing.B) {
 
 	b.Run("predict", func(b *testing.B) { run(b, false) })
 	b.Run("alerting", func(b *testing.B) { run(b, true) })
+}
+
+// alertingBenchModel returns BenchmarkStreamWithAlerting's model, the
+// random walk it streams and its hop: a uniscale model with a real drift
+// baseline (centroids from two windows of the walk) but a free
+// classifier. The caller closes model.pipe.
+func alertingBenchModel(tb testing.TB) (model *Model, samples []float64, hop int) {
+	const windowLen = 512
+	p, err := NewPipeline(streamBenchCfg())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	samples = make([]float64, 1<<14)
+	level := 0.0
+	for i := range samples {
+		level += rng.NormFloat64()
+		samples[i] = level
+	}
+	X, err := p.Extract(context.Background(), [][]float64{
+		samples[:windowLen], samples[windowLen : 2*windowLen],
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	model = &Model{
+		pipe:      p,
+		clf:       constProbaClf{classes: 2},
+		classes:   2,
+		names:     p.FeatureNames(windowLen),
+		seriesLen: windowLen,
+		drift:     computeDriftBaseline(X, []int{0, 1}, 2),
+	}
+	return model, samples, 8
+}
+
+// alertingBenchTriggers are the alerting arm's three armed triggers.
+func alertingBenchTriggers() []AlertTrigger {
+	return []AlertTrigger{
+		{Kind: AlertKindFlip},
+		{Kind: AlertKindProba, Class: 1, Rise: 0.9, Clear: 0.5},
+		{Kind: AlertKindDrift, Rise: 1e9, Clear: 1},
+	}
 }

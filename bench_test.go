@@ -431,8 +431,8 @@ func BenchmarkDTW(b *testing.B) {
 }
 
 // BenchmarkTauAblation measures how the τ threshold (Definition 3.1)
-// trades scale count against extraction cost — a design-choice ablation
-// from DESIGN.md.
+// trades scale count against extraction cost: a design-choice ablation
+// of the pyramid that docs/features.md lays out.
 func BenchmarkTauAblation(b *testing.B) {
 	series := randomSeries(1024, 3)
 	for _, tau := range []int{-1, 15, 63} {

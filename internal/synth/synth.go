@@ -1,10 +1,12 @@
 // Package synth generates the deterministic synthetic dataset suite that
-// stands in for the UCR archive (see DESIGN.md §2). Each family mimics a
-// class of datasets from the paper's evaluation tables — ECG-like beats,
-// appliance loads, chaotic maps, noise processes, planted shapelets,
-// fractional Brownian motion, and so on — chosen so that both the
-// graph-structural mechanism MVG exploits and the shape/subsequence
-// mechanisms of the baselines are present in the benchmark.
+// stands in for the UCR archive, which the repository does not ship
+// (README.md's "Tools" shows how cmd/tsgen writes it out in UCR format).
+// Each family mimics a class of datasets from the paper's evaluation
+// tables — ECG-like beats, appliance loads, chaotic maps, noise
+// processes, planted shapelets, fractional Brownian motion, and so on —
+// chosen so that both the graph-structural mechanism MVG exploits and
+// the shape/subsequence mechanisms of the baselines are present in the
+// benchmark.
 //
 // All generators are pure functions of (class, *rand.Rand); a fixed seed
 // reproduces the full suite bit-for-bit.
