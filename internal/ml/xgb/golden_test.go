@@ -5,7 +5,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -21,21 +23,30 @@ import (
 // features quantized to a few levels (long runs of tied values, where the
 // sort's tie order decides which rows sum first), rows duplicated the way
 // modelsel.Oversample duplicates them, depths 3, 6 and 20, row and column
-// subsampling at 0.5 and 1, and 2 to 4 classes. A rewrite must reproduce
-// every fit bit for bit. Regenerate only when the corpus itself changes,
-// never to absorb a training difference:
+// subsampling at 0.5 and 1, and 2 to 5 classes; nodes on both sides of
+// pdqsort's insertion-sort cutoff (12 rows), signed zeros, which tie under
+// <, constant and all-distinct columns; and a random corpus of about a
+// thousand small fits hashed as one. A rewrite must reproduce every fit
+// bit for bit. Regenerate only when the corpus itself changes, never to
+// absorb a training difference:
 //
 //	go test ./internal/ml/xgb -run TestGoldenModels -update-golden
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_models.json from current output")
 
-// goldenCase is one fit of the corpus.
-type goldenCase struct {
-	name    string
+// goldenFit is one fit: a training set and the booster's parameters.
+type goldenFit struct {
 	X       [][]float64
 	y       []int
 	classes int
 	p       Params
+}
+
+// goldenCase is one entry of the corpus. Its hash is the SHA-256 of its
+// fits' MarshalBinary bytes, concatenated in order.
+type goldenCase struct {
+	name string
+	fits []goldenFit
 }
 
 // quantize rounds every feature to a multiple of step, in place.
@@ -65,7 +76,7 @@ func skew(X [][]float64, y []int) ([][]float64, []int) {
 func goldenCases() []goldenCase {
 	var cases []goldenCase
 	add := func(name string, X [][]float64, y []int, classes int, p Params) {
-		cases = append(cases, goldenCase{name, X, y, classes, p})
+		cases = append(cases, goldenCase{name, []goldenFit{{X, y, classes, p}}})
 	}
 	half := Params{Subsample: 0.5, ColsampleByTree: 0.5}
 	withDepth := func(p Params, depth, rounds int, seed int64) Params {
@@ -99,7 +110,111 @@ func goldenCases() []goldenCase {
 	add("continuous/c2/d20/half", X, y, 2, withDepth(half, 20, 20, 8))
 	X, y = mltest.Blobs(80, 4, 18, 1.5, 9)
 	add("continuous/c4/d6/full", X, y, 4, withDepth(Params{LearningRate: 0.1}, 6, 20, 9))
+
+	// pdqsort insertion-sorts 12 rows or fewer and partitions more, so
+	// these roots sit on either side of the cutoff. A low MinChildWeight
+	// lets nodes this small split.
+	for _, n := range []int{12, 13} {
+		X, y = mltest.Blobs(n, 2, 6, 1.5, int64(n))
+		add(fmt.Sprintf("cutoff/%d-rows/c2/d6", n), quantize(X, 2), y, 2,
+			withDepth(Params{MinChildWeight: 0.05}, 6, 10, int64(n)))
+	}
+
+	// Column 0 takes -1, -0, +0 and 1, and the two zeros tie under <;
+	// column 1 is constant; column 2 has no two values alike.
+	X, y = mltest.Blobs(60, 3, 3, 1.5, 10)
+	for i, row := range X {
+		switch {
+		case row[0] < -1:
+			row[0] = -1
+		case row[0] > 1:
+			row[0] = 1
+		case i%2 == 0:
+			row[0] = math.Copysign(0, -1)
+		default:
+			row[0] = 0
+		}
+		row[1] = 2.5
+	}
+	add("signed-zeros/c3/d6/full", X, y, 3, withDepth(Params{MinChildWeight: 0.05}, 6, 15, 10))
+
+	// Without row sampling every class tree of a round grows from the
+	// same rows.
+	X, y = mltest.Blobs(100, 5, 12, 1.5, 11)
+	add("shared-root/c5/d6/cols", quantize(X, 1.5), y, 5,
+		withDepth(Params{Subsample: 1, ColsampleByTree: 0.5}, 6, 15, 11))
+
+	cases = append(cases, goldenCase{"corpus/random", randomFits(1000, 27)})
 	return cases
+}
+
+// Column kinds of randomFits besides the levels 0–5: continuous, and
+// continuous clipped at zero from below or from above, so that the only
+// tied values of a column are its least or its greatest.
+const (
+	continuous   = -1
+	clippedBelow = -2
+	clippedAbove = -3
+)
+
+// randomFits draws n small fits aimed at the split scan's tie orders:
+// 2–200 rows, a fifth of the sets 10–15 rows around pdqsort's
+// insertion-sort cutoff; 1–12 columns, each quantized to the integers
+// 0..L for L in 0–5, continuous, or clipped, with each zero's sign drawn;
+// a quarter of the rows duplicates of earlier ones, sharing their slices
+// as modelsel.Oversample does; 2–5 classes; depth 1–20; row and column
+// sampling at 0.5 or 1; and MinChildWeight 1 or 0.01, so that small
+// nodes split too.
+func randomFits(n int, seed int64) []goldenFit {
+	rng := rand.New(rand.NewSource(seed))
+	half := []float64{0.5, 1}
+	fits := make([]goldenFit, n)
+	for k := range fits {
+		rows := 2 + rng.Intn(199)
+		if rng.Intn(5) == 0 {
+			rows = 10 + rng.Intn(6)
+		}
+		levels := make([]int, 1+rng.Intn(12))
+		for j := range levels {
+			levels[j] = rng.Intn(9) - 3
+		}
+		classes := 2 + rng.Intn(4)
+		X, y := make([][]float64, rows), make([]int, rows)
+		for i := range X {
+			if i > 0 && rng.Intn(4) == 0 {
+				j := rng.Intn(i)
+				X[i], y[i] = X[j], y[j]
+				continue
+			}
+			y[i] = rng.Intn(classes)
+			X[i] = make([]float64, len(levels))
+			for j, l := range levels {
+				v := rng.NormFloat64()
+				switch l {
+				case continuous:
+				case clippedBelow:
+					v = max(v, 0)
+				case clippedAbove:
+					v = min(v, 0)
+				default:
+					v = float64(rng.Intn(l + 1))
+				}
+				if v == 0 && rng.Intn(2) == 0 {
+					v = math.Copysign(0, -1)
+				}
+				X[i][j] = v
+			}
+		}
+		fits[k] = goldenFit{X, y, classes, Params{
+			NumRounds:       1 + rng.Intn(3),
+			MaxDepth:        1 + rng.Intn(20),
+			Subsample:       half[rng.Intn(2)],
+			ColsampleByTree: half[rng.Intn(2)],
+			MinChildWeight:  []float64{1, 0.01}[rng.Intn(2)],
+			Seed:            rng.Int63(),
+		}}
+	}
+	return fits
 }
 
 func TestGoldenModels(t *testing.T) {
@@ -111,16 +226,19 @@ func TestGoldenModels(t *testing.T) {
 	path := filepath.Join("testdata", "golden_models.json")
 	got := map[string]string{}
 	for _, c := range goldenCases() {
-		m := New(c.p)
-		if err := m.Fit(c.X, c.y, c.classes); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+		sum := sha256.New()
+		for k, fit := range c.fits {
+			m := New(fit.p)
+			if err := m.Fit(fit.X, fit.y, fit.classes); err != nil {
+				t.Fatalf("%s, fit %d: %v", c.name, k, err)
+			}
+			raw, err := m.MarshalBinary()
+			if err != nil {
+				t.Fatalf("%s, fit %d: %v", c.name, k, err)
+			}
+			sum.Write(raw)
 		}
-		raw, err := m.MarshalBinary()
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		sum := sha256.Sum256(raw)
-		got[c.name] = hex.EncodeToString(sum[:])
+		got[c.name] = hex.EncodeToString(sum.Sum(nil))
 	}
 	if *updateGolden {
 		out, err := json.MarshalIndent(got, "", "  ")
