@@ -350,13 +350,19 @@ func monotoneRamp(n int) []float64 {
 // builder (internal/visibility/dnc.go) on the monotone worst case, where
 // the pre-index builder was O(n²). The same-run ratio gate in
 // BENCH_baseline.json requires ≥5× over BenchmarkNVGBuildScanMonotone at
-// n=10k.
+// n=10k. Each size warms its builder on the series before the timer, so
+// its pinned allocs/op is a warm build's, not the builder's growth
+// spread over b.N.
 func BenchmarkNVGBuildMonotone(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 100_000} {
 		series := monotoneRamp(n)
 		b.Run(fmt.Sprintf("n=%dk", n/1000), func(b *testing.B) {
 			b.ReportAllocs()
 			var vb visibility.Builder
+			if _, err := vb.VGEdges(series); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := vb.VGEdges(series); err != nil {
 					b.Fatal(err)
