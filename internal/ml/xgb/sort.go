@@ -16,6 +16,11 @@ package xgb
 
 import "math/bits"
 
+// maxInsertion is the longest run pdqsortPairs sorts by insertion sort,
+// which moves a pair only past greater values and so keeps tied pairs in
+// their input order. The split scan relies on that (treeBuilder.grow).
+const maxInsertion = 12
+
 // sortPairs sorts pairs by value exactly as slices.SortFunc sorts them
 // with a comparator that is negative when a.v < b.v.
 func sortPairs(pairs []valueRow) {
@@ -76,8 +81,6 @@ func heapSortPairs(data []valueRow, a, b int) {
 // Rust implementation: https://docs.rs/pdqsort/latest/pdqsort/
 // limit is the number of allowed bad (very unbalanced) pivots before falling back to heapsort.
 func pdqsortPairs(data []valueRow, a, b, limit int) {
-	const maxInsertion = 12
-
 	var (
 		wasBalanced    = true // whether the last partitioning was reasonably balanced
 		wasPartitioned = true // whether the slice was already partitioned

@@ -101,6 +101,112 @@ func FuzzSortPairs(f *testing.F) {
 	})
 }
 
+// checkPresortedOrder checks the facts the split scan reads a node's pairs
+// by, on the rows subset (ascending) of a column whose row i holds vs[i].
+// It reads the subset's pairs off the trainer's (value, row) presort of
+// every row, as a tree does, and sorts them with sortPairs from row
+// order, as the node would. When the subset has at most maxInsertion
+// rows, or no two of its values tie, the two orders must agree pair by
+// pair; otherwise they must agree before the first tie.
+func checkPresortedOrder(t *testing.T, vs []float64, subset []int) {
+	t.Helper()
+	if len(subset) == 0 {
+		return
+	}
+	X := make([][]float64, len(vs))
+	for i, v := range vs {
+		X[i] = []float64{v}
+	}
+	b := newTreeBuilder(X, Params{}, 1, nil, nil, nil)
+	b.startRound(subset)
+	seg := make([]valueRow, len(vs))
+	filter(seg, b.presorted[0], b.keep)
+	seg = seg[:len(subset)]
+	want := make([]valueRow, len(subset))
+	for k, i := range subset {
+		want[k] = valueRow{vs[i], i}
+	}
+	sortPairs(want)
+	agree := len(seg)
+	if len(seg) > maxInsertion {
+		for k := 0; k+1 < len(seg); k++ {
+			if seg[k].v == seg[k+1].v {
+				agree = k
+				break
+			}
+		}
+	}
+	for k := 0; k < agree; k++ {
+		if seg[k].row != want[k].row || math.Float64bits(seg[k].v) != math.Float64bits(want[k].v) {
+			t.Fatalf("%d rows: presorted position %d holds row %d (%v), sortPairs put row %d (%v)",
+				len(seg), k, seg[k].row, seg[k].v, want[k].row, want[k].v)
+		}
+	}
+}
+
+// tieHeavyValues returns n values drawn from a few levels, or continuous
+// and clipped at zero from one side, with each zero's sign drawn.
+func tieHeavyValues(rng *rand.Rand, n int) []float64 {
+	levels := rng.Intn(n+2) - 1 // -1: continuous
+	clip := rng.Intn(3)         // 1: below, 2: above
+	vs := make([]float64, n)
+	for i := range vs {
+		v := rng.NormFloat64()
+		switch {
+		case levels >= 0:
+			v = float64(rng.Intn(levels + 1))
+		case clip == 1:
+			v = max(v, 0)
+		case clip == 2:
+			v = min(v, 0)
+		}
+		if v == 0 && rng.Intn(2) == 0 {
+			v = math.Copysign(0, -1)
+		}
+		vs[i] = v
+	}
+	return vs
+}
+
+func TestPresortedOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		vs := tieHeavyValues(rng, rng.Intn(120))
+		keep := rng.Float64()
+		var subset []int
+		for row := range vs {
+			if rng.Float64() < keep {
+				subset = append(subset, row)
+			}
+		}
+		checkPresortedOrder(t, vs, subset)
+	}
+}
+
+// FuzzPresortedOrder runs checkPresortedOrder on fuzzed columns and row
+// subsets. Byte b of data is row b's value: (b>>1) modulo levels+1, and
+// a zero's sign is b's low bit. Bit i of mask leaves row i out of the
+// subset; rows past the mask stay in.
+func FuzzPresortedOrder(f *testing.F) {
+	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4}, uint8(3), []byte{0x21})
+	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(6), []byte{})
+	f.Add(make([]byte, 40), uint8(0), []byte{0x0f, 0xf0})
+	f.Fuzz(func(t *testing.T, data []byte, levels uint8, mask []byte) {
+		vs := make([]float64, len(data))
+		var subset []int
+		for i, b := range data {
+			vs[i] = float64(int(b>>1) % (int(levels) + 1))
+			if vs[i] == 0 && b&1 == 1 {
+				vs[i] = math.Copysign(0, -1)
+			}
+			if i/8 >= len(mask) || mask[i/8]>>(i%8)&1 == 0 {
+				subset = append(subset, i)
+			}
+		}
+		checkPresortedOrder(t, vs, subset)
+	})
+}
+
 // BenchmarkSplitSort sorts one fixed set of 256 node-sized, tie-heavy
 // inputs (2–62 rows) per op, with sortPairs and with the generic sort it
 // replaced. CI gates /specialised against /slices in the same run.

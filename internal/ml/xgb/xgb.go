@@ -7,6 +7,7 @@
 package xgb
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -152,15 +153,106 @@ type valueRow struct {
 // treeBuilder grows one regression tree on gradients/hessians. Its
 // buffers are sized to the training set once per Fit; growing a tree
 // allocates nothing but the nodes it appends.
+//
+// The split scan sums gradients in the order sortPairs leaves a node's
+// (value, row) pairs when it sorts them from ascending row order, the
+// order every node's rows are in: the round's rows are ascending, and
+// each split partitions them stably. Each sampled column keeps a segment
+// in (value, row) order instead, filtered from a once-per-Fit presort to
+// the round's rows and split with the node's rows. That is sortPairs'
+// order whenever the node has at most maxInsertion rows, which pdqsort
+// insertion-sorts stably, and up to the first tie otherwise: before it,
+// both orders hold the same rows at the same positions (−0 and +0 tie;
+// CheckTrainingSet refuses NaN and ±Inf). The scan reads no sum inside
+// the run of the greatest value, so only a tie below it makes a node
+// sort. A root's sort is the same for every class tree of the round, so
+// it runs once per round and column.
 type treeBuilder struct {
-	cols    [][]float64 // cols[f][i] = X[i][f]
-	g, h    []float64
-	p       Params
-	nodes   []regNode
-	columns []int
-	gain    []float64
-	pairs   []valueRow // the scanned feature's values at a node's rows
-	right   []int      // a node's right-going rows while it partitions
+	cols      [][]float64  // cols[f][i] = X[i][f]
+	presorted [][]valueRow // column f's pairs by value, then by row
+	g, h      []float64
+	p         Params
+	nodes     []regNode
+	columns   []int
+	gain      []float64
+	rows      []int // the round's row sample, ascending
+	keep      []int // keep[i] is 1 when row i is in the round's sample
+	idx       []int // the tree's rows, each node's a contiguous run
+	// segs[k] holds the rows of idx in (value, row) order of column
+	// columns[k], each node's at the same positions as in idx.
+	segs       [][]valueRow
+	goLeft     []int      // goLeft[i] is 1 when row i goes to the left child
+	pairs      []valueRow // a node's pairs while they sort
+	right      []int      // a node's right-going rows while it partitions
+	rightPairs []valueRow // a segment's right-going pairs while it partitions
+	// rootPairs[f] is column f's sorted pairs at the round's rows, which
+	// every class tree's root reads once rootSorted[f] is set.
+	rootPairs  [][]valueRow
+	rootSorted []bool
+}
+
+// newTreeBuilder sizes a builder to X for trees of perTree sampled
+// columns. It copies X column by column and sorts each column's
+// (value, row) pairs by value and then by row, once per Fit.
+func newTreeBuilder(X [][]float64, p Params, perTree int, g, h, gain []float64) *treeBuilder {
+	n, width := len(X), len(X[0])
+	b := &treeBuilder{g: g, h: h, p: p, gain: gain,
+		cols:       make([][]float64, width),
+		presorted:  make([][]valueRow, width),
+		rootPairs:  make([][]valueRow, width),
+		rootSorted: make([]bool, width),
+		segs:       make([][]valueRow, perTree),
+		keep:       make([]int, n),
+		idx:        make([]int, n),
+		goLeft:     make([]int, n),
+		pairs:      make([]valueRow, n),
+		right:      make([]int, 0, n),
+		rightPairs: make([]valueRow, n),
+	}
+	flat := make([]float64, width*n)
+	buf := make([]valueRow, (2*width+perTree)*n)
+	for f := range b.cols {
+		b.cols[f] = flat[f*n : (f+1)*n]
+		b.presorted[f] = buf[f*n : (f+1)*n]
+		b.rootPairs[f] = buf[(width+f)*n : (width+f+1)*n]
+		for i, row := range X {
+			b.cols[f][i] = row[f]
+			b.presorted[f][i] = valueRow{row[f], i}
+		}
+		slices.SortFunc(b.presorted[f], func(x, y valueRow) int {
+			if c := cmp.Compare(x.v, y.v); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.row, y.row)
+		})
+	}
+	for k := range b.segs {
+		b.segs[k] = buf[(2*width+k)*n : (2*width+k+1)*n]
+	}
+	return b
+}
+
+// startRound takes the round's row sample, in ascending order.
+func (b *treeBuilder) startRound(rows []int) {
+	b.rows = rows
+	clear(b.rootSorted)
+	clear(b.keep)
+	for _, i := range rows {
+		b.keep[i] = 1
+	}
+}
+
+// tree grows one tree over the round's rows and the sampled columns.
+// grow reorders its rows and segments, so each tree starts from the
+// rows in ascending order and each column's presort filtered to them.
+func (b *treeBuilder) tree() regTree {
+	copy(b.idx, b.rows)
+	for k, f := range b.columns {
+		filter(b.segs[k], b.presorted[f], b.keep)
+	}
+	b.nodes = nil
+	b.grow(0, len(b.rows), 0)
+	return regTree{nodes: b.nodes}
 }
 
 func (b *treeBuilder) leaf(idx []int) int32 {
@@ -174,10 +266,11 @@ func (b *treeBuilder) leaf(idx []int) int32 {
 	return int32(len(b.nodes) - 1)
 }
 
-// grow builds the subtree over the rows in idx, which it reorders in
+// grow builds the subtree over the rows idx[lo:hi], which it reorders in
 // place: each split leaves its left rows first and its right rows after,
-// both in their previous order.
-func (b *treeBuilder) grow(idx []int, depth int) int32 {
+// both in their previous order, and does the same to every segment.
+func (b *treeBuilder) grow(lo, hi, depth int) int32 {
+	idx := b.idx[lo:hi]
 	if depth >= b.p.MaxDepth || len(idx) < 2 {
 		return b.leaf(idx)
 	}
@@ -192,15 +285,18 @@ func (b *treeBuilder) grow(idx []int, depth int) int32 {
 	bestFeature := -1
 	bestThreshold := 0.0
 
-	pairs := b.pairs[:len(idx)]
-	for _, f := range b.columns {
-		col := b.cols[f]
-		for k, i := range idx {
-			pairs[k] = valueRow{col[i], i}
-		}
-		sortPairs(pairs)
+	for j, f := range b.columns {
+		// The segment until a tie below the greatest value, if the node
+		// is too large to be insertion-sorted, and the sorted pairs from
+		// there on (see treeBuilder).
+		pairs := b.segs[j][lo:hi]
+		greatest := pairs[len(pairs)-1].v
+		watch := len(pairs) > maxInsertion
 		var GL, HL float64
 		for k := 0; k+1 < len(pairs); k++ {
+			if watch && pairs[k].v == pairs[k+1].v && pairs[k].v != greatest {
+				pairs, watch = b.sorted(f, idx, depth == 0), false
+			}
 			i := pairs[k].row
 			GL += b.g[i]
 			HL += b.h[i]
@@ -234,21 +330,76 @@ func (b *treeBuilder) grow(idx []int, depth int) int32 {
 	for _, i := range idx {
 		if col[i] <= bestThreshold {
 			left = append(left, i)
+			b.goLeft[i] = 1
 		} else {
 			right = append(right, i)
+			b.goLeft[i] = 0
 		}
 	}
 	if len(left) == 0 || len(right) == 0 {
 		return b.leaf(idx)
 	}
 	copy(idx[len(left):], right)
+	// Children at the depth limit are leaves and scan nothing.
+	if depth+1 < b.p.MaxDepth {
+		for k := range b.columns {
+			partition(b.segs[k][lo:hi], b.goLeft, b.rightPairs)
+		}
+	}
+	mid := lo + len(left)
 	self := int32(len(b.nodes))
 	b.nodes = append(b.nodes, regNode{feature: int32(bestFeature), threshold: bestThreshold})
-	l := b.grow(idx[:len(left)], depth+1)
-	r := b.grow(idx[len(left):], depth+1)
+	l := b.grow(lo, mid, depth+1)
+	r := b.grow(mid, hi, depth+1)
 	b.nodes[self].left = l
 	b.nodes[self].right = r
 	return self
+}
+
+// sorted returns column f's pairs at the rows idx, in ascending row
+// order, as sortPairs sorts them. A root's are the same for every class
+// tree of the round, so they are sorted once per round.
+func (b *treeBuilder) sorted(f int, idx []int, root bool) []valueRow {
+	pairs := b.pairs[:len(idx)]
+	if root {
+		pairs = b.rootPairs[f][:len(idx)]
+		if b.rootSorted[f] {
+			return pairs
+		}
+		b.rootSorted[f] = true
+	}
+	col := b.cols[f]
+	for k, i := range idx {
+		pairs[k] = valueRow{col[i], i}
+	}
+	sortPairs(pairs)
+	return pairs
+}
+
+// partition moves the pairs whose rows go left to the front of seg and
+// the others after them, both in their previous order, with tmp holding
+// the right side meanwhile. It writes both buffers on every pair and
+// advances one, so it does not branch on the side.
+func partition(seg []valueRow, goLeft []int, tmp []valueRow) {
+	l, r := 0, 0
+	for _, p := range seg {
+		side := goLeft[p.row]
+		seg[l] = p
+		tmp[r] = p
+		l += side
+		r += 1 - side
+	}
+	copy(seg[l:], tmp[:r])
+}
+
+// filter writes the pairs of src whose rows keep holds 1 to the front of
+// dst, in order; dst must be as long as src.
+func filter(dst, src []valueRow, keep []int) {
+	k := 0
+	for _, p := range src {
+		dst[k] = p
+		k += keep[p.row]
+	}
 }
 
 // Fit trains the boosted ensemble with the softmax objective: each round
@@ -281,18 +432,13 @@ func (m *Model) Fit(X [][]float64, y []int, classes int) error {
 	for i := range allCols {
 		allCols[i] = i
 	}
-	cols := make([][]float64, width)
-	flat := make([]float64, width*n)
-	for f := range cols {
-		cols[f] = flat[f*n : (f+1)*n]
-		for i, row := range X {
-			cols[f][i] = row[f]
-		}
+	// Each tree samples perTree columns.
+	perTree := width
+	if p.ColsampleByTree < 1 {
+		perTree = max(1, int(math.Ceil(p.ColsampleByTree*float64(width))))
 	}
-	b := &treeBuilder{cols: cols, g: g, h: h, p: p, gain: m.gain,
-		pairs: make([]valueRow, n), right: make([]int, 0, n)}
+	b := newTreeBuilder(X, p, perTree, g, h, m.gain)
 	rows := make([]int, 0, n)
-	order := make([]int, n)
 
 	for round := 0; round < p.NumRounds; round++ {
 		// Softmax over current raw scores.
@@ -315,6 +461,7 @@ func (m *Model) Fit(X [][]float64, y []int, classes int) error {
 				rows = append(rows, i)
 			}
 		}
+		b.startRound(rows)
 
 		roundTrees := make([]regTree, classes)
 		for c := 0; c < classes; c++ {
@@ -333,19 +480,11 @@ func (m *Model) Fit(X [][]float64, y []int, classes int) error {
 			// Column subsample per tree.
 			b.columns = allCols
 			if p.ColsampleByTree < 1 {
-				k := int(math.Ceil(p.ColsampleByTree * float64(width)))
-				if k < 1 {
-					k = 1
-				}
-				perm := rng.Perm(width)[:k]
+				perm := rng.Perm(width)[:perTree]
 				sort.Ints(perm)
 				b.columns = perm
 			}
-			// grow reorders its rows, and every class of the round
-			// starts from the round's sample order.
-			b.nodes = nil
-			b.grow(order[:copy(order, rows)], 0)
-			roundTrees[c] = regTree{nodes: b.nodes}
+			roundTrees[c] = b.tree()
 			// Update raw scores for all samples.
 			for i := 0; i < n; i++ {
 				raw[i][c] += roundTrees[c].predict(X[i])

@@ -153,9 +153,27 @@ func TestTruncateIsTheShorterFit(t *testing.T) {
 
 // BenchmarkXGBFit is one quick-grid host fit on one training fold of a
 // SynthECG-sized set: 40 rows × 184 features, 3 classes, 50 rounds at
-// depth 6, rows and columns sampled at 0.5.
+// depth 6, rows and columns sampled at 0.5. Its features are continuous,
+// so no node's values tie.
 func BenchmarkXGBFit(b *testing.B) {
+	benchmarkFit(b, 0)
+}
+
+// BenchmarkXGBFitTies is BenchmarkXGBFit on features rounded to whole
+// numbers, about seven levels each, as the degree features and the
+// golden corpus tie: nodes of more than 12 rows with ties fall back to
+// sorting.
+func BenchmarkXGBFitTies(b *testing.B) {
+	benchmarkFit(b, 1)
+}
+
+// benchmarkFit times the quick-grid fit on features quantized to step,
+// or continuous when step is 0.
+func benchmarkFit(b *testing.B, step float64) {
 	X, y := mltest.Blobs(40, 3, 184, 1.5, 1)
+	if step > 0 {
+		X = quantize(X, step)
+	}
 	p := Params{NumRounds: 50, MaxDepth: 6, LearningRate: 0.3, Subsample: 0.5, ColsampleByTree: 0.5, Seed: 1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
