@@ -184,9 +184,9 @@ func TestPresortedOrder(t *testing.T) {
 }
 
 // FuzzPresortedOrder runs checkPresortedOrder on fuzzed columns and row
-// subsets. Byte b of data is row b's value: (b>>1) modulo levels+1, and
-// a zero's sign is b's low bit. Bit i of mask leaves row i out of the
-// subset; rows past the mask stay in.
+// subsets. Byte i of data, b, gives row i's value: (b>>1) modulo
+// levels+1, with b's low bit as the sign of a zero. Bit i of mask leaves
+// row i out of the subset; rows past the mask stay in.
 func FuzzPresortedOrder(f *testing.F) {
 	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4}, uint8(3), []byte{0x21})
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(6), []byte{})
