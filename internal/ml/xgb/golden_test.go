@@ -25,9 +25,11 @@ import (
 // modelsel.Oversample duplicates them, depths 3, 6 and 20, row and column
 // subsampling at 0.5 and 1, and 2 to 5 classes; nodes on both sides of
 // pdqsort's insertion-sort cutoff (12 rows), signed zeros, which tie under
-// <, constant and all-distinct columns; and a random corpus of about a
-// thousand small fits hashed as one. A rewrite must reproduce every fit
-// bit for bit. Regenerate only when the corpus itself changes, never to
+// <, constant and all-distinct columns; MinChildWeight 0.5 and 3, and a
+// confident fit whose trees shrink to one leaf, where the split scan's
+// exits fall; and two random corpora hashed as one each, about a
+// thousand small fits and 300 fits of 10–60 rounds. A rewrite must
+// reproduce every fit bit for bit. Regenerate only when the corpus itself changes, never to
 // absorb a training difference:
 //
 //	go test ./internal/ml/xgb -run TestGoldenModels -update-golden
@@ -144,7 +146,21 @@ func goldenCases() []goldenCase {
 	add("shared-root/c5/d6/cols", quantize(X, 1.5), y, 5,
 		withDepth(Params{Subsample: 1, ColsampleByTree: 0.5}, 6, 15, 11))
 
-	cases = append(cases, goldenCase{"corpus/random", randomFits(1000, 27)})
+	// The split scan's exits scale with MinChildWeight: a node below twice
+	// it is a leaf, and a scan stops once the right side falls below it.
+	for _, mcw := range []float64{0.5, 3} {
+		X, y = mltest.Blobs(90, 3, 10, 1.5, 12)
+		add(fmt.Sprintf("min-child-weight/%g/c3/d6/half", mcw), quantize(X, 1), y, 3,
+			withDepth(Params{Subsample: 0.5, ColsampleByTree: 0.5, MinChildWeight: mcw}, 6, 30, 12))
+	}
+
+	// A confident fit: hessians shrink until whole trees are one leaf.
+	X, y = mltest.Blobs(120, 3, 8, 1, 13)
+	add("confident/c3/d6/half", quantize(X, 0.5), y, 3,
+		withDepth(Params{Subsample: 0.5, ColsampleByTree: 0.5, LearningRate: 1}, 6, 100, 13))
+
+	cases = append(cases, goldenCase{"corpus/random", randomFits(1000, 27, 200, 1, 3, []float64{1, 0.01})})
+	cases = append(cases, goldenCase{"corpus/exits", randomFits(300, 28, 100, 10, 60, []float64{0.25, 1, 3})})
 	return cases
 }
 
@@ -157,20 +173,20 @@ const (
 	clippedAbove = -3
 )
 
-// randomFits draws n small fits aimed at the split scan's tie orders:
-// 2–200 rows, a fifth of the sets 10–15 rows around pdqsort's
+// randomFits draws n small fits aimed at the split scan's tie orders and
+// exits: 2 to maxRows rows, a fifth of the sets 10–15 rows around pdqsort's
 // insertion-sort cutoff; 1–12 columns, each quantized to the integers
 // 0..L for L in 0–5, continuous, or clipped, with each zero's sign drawn;
 // a quarter of the rows duplicates of earlier ones, sharing their slices
 // as modelsel.Oversample does; 2–5 classes; depth 1–20; row and column
-// sampling at 0.5 or 1; and MinChildWeight 1 or 0.01, so that small
-// nodes split too.
-func randomFits(n int, seed int64) []goldenFit {
+// sampling at 0.5 or 1; minRounds to maxRounds rounds, so that later
+// rounds' hessians shrink; and a MinChildWeight drawn from mcw.
+func randomFits(n int, seed int64, maxRows, minRounds, maxRounds int, mcw []float64) []goldenFit {
 	rng := rand.New(rand.NewSource(seed))
 	half := []float64{0.5, 1}
 	fits := make([]goldenFit, n)
 	for k := range fits {
-		rows := 2 + rng.Intn(199)
+		rows := 2 + rng.Intn(maxRows-1)
 		if rng.Intn(5) == 0 {
 			rows = 10 + rng.Intn(6)
 		}
@@ -206,11 +222,11 @@ func randomFits(n int, seed int64) []goldenFit {
 			}
 		}
 		fits[k] = goldenFit{X, y, classes, Params{
-			NumRounds:       1 + rng.Intn(3),
+			NumRounds:       minRounds + rng.Intn(maxRounds-minRounds+1),
 			MaxDepth:        1 + rng.Intn(20),
 			Subsample:       half[rng.Intn(2)],
 			ColsampleByTree: half[rng.Intn(2)],
-			MinChildWeight:  []float64{1, 0.01}[rng.Intn(2)],
+			MinChildWeight:  mcw[rng.Intn(len(mcw))],
 			Seed:            rng.Int63(),
 		}}
 	}
