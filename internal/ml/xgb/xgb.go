@@ -7,12 +7,10 @@
 package xgb
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"mvg/internal/ml"
 )
@@ -163,10 +161,22 @@ type valueRow struct {
 // order whenever the node has at most maxInsertion rows, which pdqsort
 // insertion-sorts stably, and up to the first tie otherwise: before it,
 // both orders hold the same rows at the same positions (−0 and +0 tie;
-// CheckTrainingSet refuses NaN and ±Inf). The scan reads no sum inside
-// the run of the greatest value, so only a tie below it makes a node
-// sort. A root's sort is the same for every class tree of the round, so
-// it runs once per round and column.
+// CheckTrainingSet refuses NaN and ±Inf). So only a tie before the last
+// boundary the scan reads makes a node sort. A root's sort is the same
+// for every class tree of the round, so it runs once per round and
+// column.
+//
+// The scan stops where no later gain can be read, so the chosen splits
+// keep their bits. A gain needs both sides' hessian sums HL and H-HL to
+// reach MinChildWeight. A node whose sum H, in row order, is below twice
+// it is a leaf: if HL >= H/2, H-HL is exact (Sterbenz), so at most
+// H-MinChildWeight, which is below MinChildWeight; a smaller HL is below
+// it itself. Every hessian is positive, so the rounded HL never falls
+// and the rounded H-HL never rises: a column's scan stops at the first
+// boundary whose right side is below MinChildWeight, and reads no sum in
+// the greatest value's run. A column constant at the node has no
+// boundary. A node's segments are filled or partitioned only when it
+// scans.
 type treeBuilder struct {
 	cols      [][]float64  // cols[f][i] = X[i][f]
 	presorted [][]valueRow // column f's pairs by value, then by row
@@ -219,11 +229,16 @@ func newTreeBuilder(X [][]float64, p Params, perTree int, g, h, gain []float64) 
 			b.cols[f][i] = row[f]
 			b.presorted[f][i] = valueRow{row[f], i}
 		}
+		// The rows differ, so no two keys are equal and the order is
+		// unique; CheckTrainingSet refuses NaN.
 		slices.SortFunc(b.presorted[f], func(x, y valueRow) int {
-			if c := cmp.Compare(x.v, y.v); c != 0 {
-				return c
+			if x.v < y.v {
+				return -1
 			}
-			return cmp.Compare(x.row, y.row)
+			if x.v > y.v {
+				return 1
+			}
+			return x.row - y.row
 		})
 	}
 	for k := range b.segs {
@@ -244,40 +259,47 @@ func (b *treeBuilder) startRound(rows []int) {
 
 // tree grows one tree over the round's rows and the sampled columns.
 // grow reorders its rows and segments, so each tree starts from the
-// rows in ascending order and each column's presort filtered to them.
+// rows in ascending order, and a root that scans from each column's
+// presort filtered to them.
 func (b *treeBuilder) tree() regTree {
 	copy(b.idx, b.rows)
-	for k, f := range b.columns {
-		filter(b.segs[k], b.presorted[f], b.keep)
-	}
-	b.nodes = nil
-	b.grow(0, len(b.rows), 0)
-	return regTree{nodes: b.nodes}
-}
-
-func (b *treeBuilder) leaf(idx []int) int32 {
 	var G, H float64
-	for _, i := range idx {
+	for _, i := range b.rows {
 		G += b.g[i]
 		H += b.h[i]
 	}
+	b.nodes = nil
+	b.grow(0, len(b.rows), 0, G, H)
+	return regTree{nodes: b.nodes}
+}
+
+func (b *treeBuilder) leaf(G, H float64) int32 {
 	w := -G / (H + b.p.Lambda) * b.p.LearningRate
 	b.nodes = append(b.nodes, regNode{feature: -1, weight: w})
 	return int32(len(b.nodes) - 1)
 }
 
-// grow builds the subtree over the rows idx[lo:hi], which it reorders in
-// place: each split leaves its left rows first and its right rows after,
-// both in their previous order, and does the same to every segment.
-func (b *treeBuilder) grow(lo, hi, depth int) int32 {
+// isLeaf reports whether a node of n rows at depth, whose hessians sum
+// to H in row order, is a leaf without a scan: no split of it could pass
+// MaxDepth and MinChildWeight (see treeBuilder).
+func (b *treeBuilder) isLeaf(n, depth int, H float64) bool {
+	return depth >= b.p.MaxDepth || n < 2 || H < 2*b.p.MinChildWeight
+}
+
+// grow builds the subtree over the rows idx[lo:hi], whose gradients and
+// hessians sum to G and H in row order. It reorders the rows in place:
+// each split leaves its left rows first and its right rows after, both
+// in their previous order, and does the same to every segment when a
+// child will scan.
+func (b *treeBuilder) grow(lo, hi, depth int, G, H float64) int32 {
 	idx := b.idx[lo:hi]
-	if depth >= b.p.MaxDepth || len(idx) < 2 {
-		return b.leaf(idx)
+	if b.isLeaf(len(idx), depth, H) {
+		return b.leaf(G, H)
 	}
-	var G, H float64
-	for _, i := range idx {
-		G += b.g[i]
-		H += b.h[i]
+	if depth == 0 {
+		for k, f := range b.columns {
+			filter(b.segs[k], b.presorted[f], b.keep)
+		}
 	}
 	parentScore := G * G / (H + b.p.Lambda)
 
@@ -288,9 +310,12 @@ func (b *treeBuilder) grow(lo, hi, depth int) int32 {
 	for j, f := range b.columns {
 		// The segment until a tie below the greatest value, if the node
 		// is too large to be insertion-sorted, and the sorted pairs from
-		// there on (see treeBuilder).
+		// there on (see treeBuilder). A constant column has no boundary.
 		pairs := b.segs[j][lo:hi]
 		greatest := pairs[len(pairs)-1].v
+		if pairs[0].v == greatest {
+			continue
+		}
 		watch := len(pairs) > maxInsertion
 		var GL, HL float64
 		for k := 0; k+1 < len(pairs); k++ {
@@ -305,7 +330,10 @@ func (b *treeBuilder) grow(lo, hi, depth int) int32 {
 				continue
 			}
 			HR := H - HL
-			if HL < b.p.MinChildWeight || HR < b.p.MinChildWeight {
+			if HR < b.p.MinChildWeight {
+				break // and so is every later HR
+			}
+			if HL < b.p.MinChildWeight {
 				continue
 			}
 			GR := G - GL
@@ -319,29 +347,35 @@ func (b *treeBuilder) grow(lo, hi, depth int) int32 {
 	}
 
 	if bestFeature < 0 {
-		return b.leaf(idx)
+		return b.leaf(G, H)
 	}
 	b.gain[bestFeature] += bestGain
 
 	// Stable partition: left rows move forward in place, right rows wait
-	// in b.right and follow them. An empty side leaves idx as it was.
+	// in b.right and follow them, each side summed in its new order. An
+	// empty side leaves idx as it was.
 	col := b.cols[bestFeature]
 	left, right := idx[:0], b.right[:0]
+	var GL, HL, GR, HR float64
 	for _, i := range idx {
 		if col[i] <= bestThreshold {
 			left = append(left, i)
 			b.goLeft[i] = 1
+			GL += b.g[i]
+			HL += b.h[i]
 		} else {
 			right = append(right, i)
 			b.goLeft[i] = 0
+			GR += b.g[i]
+			HR += b.h[i]
 		}
 	}
 	if len(left) == 0 || len(right) == 0 {
-		return b.leaf(idx)
+		return b.leaf(G, H)
 	}
 	copy(idx[len(left):], right)
-	// Children at the depth limit are leaves and scan nothing.
-	if depth+1 < b.p.MaxDepth {
+	// A child that will not scan reads no segment.
+	if !b.isLeaf(len(left), depth+1, HL) || !b.isLeaf(len(right), depth+1, HR) {
 		for k := range b.columns {
 			partition(b.segs[k][lo:hi], b.goLeft, b.rightPairs)
 		}
@@ -349,8 +383,8 @@ func (b *treeBuilder) grow(lo, hi, depth int) int32 {
 	mid := lo + len(left)
 	self := int32(len(b.nodes))
 	b.nodes = append(b.nodes, regNode{feature: int32(bestFeature), threshold: bestThreshold})
-	l := b.grow(lo, mid, depth+1)
-	r := b.grow(mid, hi, depth+1)
+	l := b.grow(lo, mid, depth+1, GL, HL)
+	r := b.grow(mid, hi, depth+1, GR, HR)
 	b.nodes[self].left = l
 	b.nodes[self].right = r
 	return self
@@ -439,6 +473,11 @@ func (m *Model) Fit(X [][]float64, y []int, classes int) error {
 	}
 	b := newTreeBuilder(X, p, perTree, g, h, m.gain)
 	rows := make([]int, 0, n)
+	// The column sample's permutation, its first perTree entries marked
+	// by column, and those columns in ascending order.
+	perm := make([]int, width)
+	marked := make([]bool, width)
+	sample := make([]int, 0, perTree)
 
 	for round := 0; round < p.NumRounds; round++ {
 		// Softmax over current raw scores.
@@ -477,12 +516,26 @@ func (m *Model) Fit(X [][]float64, y []int, classes int) error {
 					h[i] = 1e-16
 				}
 			}
-			// Column subsample per tree.
+			// Column subsample per tree: rng.Perm(width)'s draws, into
+			// perm, and its first perTree entries in ascending order.
 			b.columns = allCols
 			if p.ColsampleByTree < 1 {
-				perm := rng.Perm(width)[:perTree]
-				sort.Ints(perm)
-				b.columns = perm
+				for i := range perm {
+					j := rng.Intn(i + 1)
+					perm[i] = perm[j]
+					perm[j] = i
+				}
+				for _, f := range perm[:perTree] {
+					marked[f] = true
+				}
+				sample = sample[:0]
+				for f, in := range marked {
+					if in {
+						sample = append(sample, f)
+						marked[f] = false
+					}
+				}
+				b.columns = sample
 			}
 			roundTrees[c] = b.tree()
 			// Update raw scores for all samples.
