@@ -3,7 +3,10 @@ package mvg
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"mvg/internal/alert"
 )
 
 // BenchmarkStreamWithAlerting measures what the alerting layer adds to the
@@ -65,6 +68,61 @@ func BenchmarkStreamWithAlerting(b *testing.B) {
 
 	b.Run("predict", func(b *testing.B) { run(b, false) })
 	b.Run("alerting", func(b *testing.B) { run(b, true) })
+}
+
+// BenchmarkAlertLayer times the alerting layer alone: each op scores one
+// feature row's drift (Model.Drift) and evaluates alertingBenchTriggers
+// on one point (alert.Evaluator.Eval). The rows and points are fixed,
+// taken from 64 hops of a warm stream on BenchmarkStreamWithAlerting's
+// model. CI gates it against BenchmarkStreamHop in the same run
+// (.github/BENCH_baseline.json "ratios") and pins its allocs/op: it
+// times the layer on its own (0.1–0.2 µs against a ~85 µs hop on
+// 2 vCPUs), which BenchmarkStreamWithAlerting's two hop loops cannot
+// resolve.
+func BenchmarkAlertLayer(b *testing.B) {
+	model, samples, hop := alertingBenchModel(b)
+	defer model.pipe.Close()
+	s, err := model.NewStream(hop)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	rows := make([][]float64, 64)
+	points := make([]alert.Point, len(rows))
+	n := 0
+	for k := range rows {
+		for ready := false; !ready || n < 2*model.seriesLen; n++ {
+			if ready, err = s.Push(samples[n%len(samples)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		feats, err := s.Features()
+		if err != nil {
+			b.Fatal(err)
+		}
+		class, proba, err := s.Predict(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows[k] = slices.Clone(feats)
+		points[k] = alert.Point{Sample: n - 1, Class: class, Proba: proba, HasDrift: true}
+	}
+	eval, err := alert.NewEvaluator(alertingBenchTriggers()...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(rows)
+		d, err := model.Drift(rows[k])
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := points[k]
+		p.Drift = d
+		eval.Eval(p)
+	}
 }
 
 // alertingBenchModel returns BenchmarkStreamWithAlerting's model, the
