@@ -473,11 +473,7 @@ func (m *Model) Fit(X [][]float64, y []int, classes int) error {
 	}
 	b := newTreeBuilder(X, p, perTree, g, h, m.gain)
 	rows := make([]int, 0, n)
-	// The column sample's permutation, its first perTree entries marked
-	// by column, and those columns in ascending order.
-	perm := make([]int, width)
-	marked := make([]bool, width)
-	sample := make([]int, 0, perTree)
+	perm := make([]int, width) // the column sample's permutation
 
 	for round := 0; round < p.NumRounds; round++ {
 		// Softmax over current raw scores.
@@ -525,17 +521,8 @@ func (m *Model) Fit(X [][]float64, y []int, classes int) error {
 					perm[i] = perm[j]
 					perm[j] = i
 				}
-				for _, f := range perm[:perTree] {
-					marked[f] = true
-				}
-				sample = sample[:0]
-				for f, in := range marked {
-					if in {
-						sample = append(sample, f)
-						marked[f] = false
-					}
-				}
-				b.columns = sample
+				b.columns = perm[:perTree]
+				slices.Sort(b.columns)
 			}
 			roundTrees[c] = b.tree()
 			// Update raw scores for all samples.
