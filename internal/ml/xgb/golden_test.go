@@ -29,8 +29,8 @@ import (
 // confident fit whose trees shrink to one leaf, where the split scan's
 // exits fall; and two random corpora hashed as one each, about a
 // thousand small fits and 300 fits of 10–60 rounds. A rewrite must
-// reproduce every fit bit for bit. Regenerate only when the corpus itself changes, never to
-// absorb a training difference:
+// reproduce every fit bit for bit. Regenerate only when the corpus
+// itself changes, never to absorb a training difference:
 //
 //	go test ./internal/ml/xgb -run TestGoldenModels -update-golden
 
